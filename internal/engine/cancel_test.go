@@ -7,10 +7,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fastintersect/internal/race"
+	"fastintersect/internal/sets"
 )
 
 // numGoroutineSettled samples runtime.NumGoroutine after giving transient
@@ -297,5 +299,65 @@ func TestChurnCancellationShutdown(t *testing.T) {
 	res, err := e.Query("m2 AND m3")
 	if err != nil || len(res.Docs) == 0 {
 		t.Fatalf("post-churn query: res=%v err=%v", res, err)
+	}
+}
+
+// errAfterCtx is a cancellable context whose deadline "expires" at a chosen
+// poll: Err reports nil for the first n calls and context.DeadlineExceeded
+// from then on, independent of timing.
+type errAfterCtx struct {
+	context.Context
+	calls atomic.Int64
+	n     int64
+}
+
+func (c *errAfterCtx) Err() error {
+	if c.calls.Add(1) > c.n {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestQueryContextDeadlineInSegments: a deadline that expires after the
+// base evaluation, while the frozen and active segments are evaluated,
+// must abort the query — in-memory segments run the same polling
+// interpreter as the base.
+func TestQueryContextDeadlineInSegments(t *testing.T) {
+	const numDocs = 2000
+	const q = "m2 OR m3 OR m5 OR m7 OR m11 OR m13 OR rare"
+	e := buildTestEngine(t, Config{Shards: 1, CacheSize: 0}, numDocs)
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Count the polls that reach Err on the base alone (second run: warm
+	// plan cache, as in the runs below).
+	var baseCalls int64
+	for i := 0; i < 2; i++ {
+		ctx := &errAfterCtx{Context: parent, n: 1 << 62}
+		if _, err := e.QueryContext(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		baseCalls = ctx.calls.Load()
+	}
+	reAddToTier(t, e, numDocs, 3)
+	want, err := e.QueryContext(&errAfterCtx{Context: parent, n: 1 << 62}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The deadline survives every poll of the base evaluation and expires
+	// at the first poll inside the segments.
+	res, err := e.QueryContext(&errAfterCtx{Context: parent, n: baseCalls}, q)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded from a segment poll", err)
+	}
+	if res != nil {
+		t.Fatalf("res = %v, want nil on abort", res)
+	}
+	// Pooled state survives the abort.
+	got, err := e.Query(q)
+	if err != nil {
+		t.Fatalf("post-abort query: %v", err)
+	}
+	if !sets.Equal(got.Docs, want.Docs) {
+		t.Fatalf("post-abort query: %d docs, want %d", len(got.Docs), len(want.Docs))
 	}
 }

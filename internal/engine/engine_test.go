@@ -19,16 +19,7 @@ func buildTestEngine(t testing.TB, cfg Config, numDocs uint32) *Engine {
 	e := New(cfg)
 	b := e.NewBuilder()
 	for d := uint32(0); d < numDocs; d++ {
-		terms := []string{"all"}
-		for k := uint32(2); k <= 13; k++ {
-			if d%k == 0 {
-				terms = append(terms, fmt.Sprintf("m%d", k))
-			}
-		}
-		if d%97 == 0 {
-			terms = append(terms, "rare")
-		}
-		if err := b.Add(d, terms); err != nil {
+		if err := b.Add(d, testDocTerms(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,6 +27,21 @@ func buildTestEngine(t testing.TB, cfg Config, numDocs uint32) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// testDocTerms is document d of the test corpus: "all", "m<k>" for every
+// k in 2..13 dividing d, and "rare" when 97 divides d.
+func testDocTerms(d uint32) []string {
+	terms := []string{"all"}
+	for k := uint32(2); k <= 13; k++ {
+		if d%k == 0 {
+			terms = append(terms, fmt.Sprintf("m%d", k))
+		}
+	}
+	if d%97 == 0 {
+		terms = append(terms, "rare")
+	}
+	return terms
 }
 
 // refEval answers the same queries from first principles.

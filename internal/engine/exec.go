@@ -11,17 +11,18 @@ import (
 	"fastintersect/internal/sets"
 )
 
-// Physical-plan execution against one shard's base segment. The logical
-// language, normalizer and cost model live in internal/plan; this file is
-// the interpreter that runs a plan.Plan over an invindex.Index inside a
-// pooled execCtx.
+// Physical-plan execution against one segment of a shard's tier. The
+// logical language, normalizer and cost model live in internal/plan; this
+// file is the one interpreter that runs a plan.Plan over a leafSource — the
+// raw base, the compressed base or an in-memory segment — inside a pooled
+// execCtx.
 //
 // Kernel selection is delegated to the plan package everywhere: the plan
 // fixes the operand order (built once per query from engine-aggregate
 // statistics), and each shard re-prices the kernel on its actual operand
 // sizes and encodings through the same cost model — plan.ChooseListKernel
 // for preprocessed lists, plan.ChooseStored for compressed lists,
-// plan.ChoosePair for the pairwise composite/delta merges. No execution
+// plan.ChoosePair for the pairwise composite/segment merges. No execution
 // path picks a kernel inline.
 
 // listAlgorithm resolves the algorithm for a conjunction over f.lists: the
@@ -59,9 +60,9 @@ func (e *Engine) intersectPair(c *execCtx, pol plan.KernelPolicy, a, b []uint32)
 	return sets.IntersectInto(c.getBuf(), a, b)
 }
 
-// evalOp evaluates physical operator i of p against one shard's base index,
-// returning sorted docIDs. All transient memory comes from c; the returned
-// slice either aliases index memory or the context's memo (owned = false;
+// evalOp evaluates physical operator i of p against one segment, returning
+// sorted docIDs. All transient memory comes from c; the returned slice
+// either aliases source memory or the context's memo (owned = false;
 // read-only) or is backed by a context buffer (owned = true; the caller
 // recycles it with c.putBuf once consumed). Either way it is only valid
 // until the context is released.
@@ -75,15 +76,15 @@ func (e *Engine) intersectPair(c *execCtx, pol plan.KernelPolicy, a, b []uint32)
 // are the engine's unit of work between kernel/decode runs, so a deadline
 // that expires mid-shard aborts before the next kernel starts rather than
 // after the whole shard finishes.
-func (e *Engine) evalOp(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32) ([]uint32, bool, error) {
+func (e *Engine) evalOp(c *execCtx, src leafSource, p *plan.Plan, i int32) ([]uint32, bool, error) {
 	if err := c.pollCancel(); err != nil {
 		return nil, false, err
 	}
 	if c.rec == nil {
-		return e.evalOpInner(c, ix, p, i)
+		return e.evalOpInner(c, src, p, i)
 	}
 	start := time.Now()
-	docs, owned, err := e.evalOpInner(c, ix, p, i)
+	docs, owned, err := e.evalOpInner(c, src, p, i)
 	a := &c.rec.ops[i]
 	a.execs++
 	a.rows += int64(len(docs))
@@ -91,30 +92,16 @@ func (e *Engine) evalOp(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32) (
 	return docs, owned, err
 }
 
-func (e *Engine) evalOpInner(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32) (docs []uint32, owned bool, err error) {
+func (e *Engine) evalOpInner(c *execCtx, src leafSource, p *plan.Plan, i int32) (docs []uint32, owned bool, err error) {
 	op := &p.Ops[i]
 	switch op.Kind {
 	case plan.OpTerm:
-		if ix.Storage() == invindex.StorageCompressed {
-			s := ix.Stored(op.Term)
-			if s == nil {
-				return nil, false, nil
-			}
-			if s.Encoding() == compress.EncRaw {
-				return s.Decode(), false, nil // aliases the stored slice, no copy
-			}
-			return c.decodeStored(s), false, nil
-		}
-		l := ix.Postings(op.Term)
-		if l == nil {
-			return nil, false, nil
-		}
-		return l.Set(), false, nil
+		return src.term(c, op.Term), false, nil
 
 	case plan.OpOr:
 		f := c.frame()
 		for _, ki := range p.KidOps(op) {
-			s, kidOwned, err := e.evalOp(c, ix, p, ki)
+			s, kidOwned, err := e.evalOp(c, src, p, ki)
 			if err != nil {
 				c.releaseFrame(f)
 				return nil, false, err
@@ -127,7 +114,7 @@ func (e *Engine) evalOpInner(c *execCtx, ix *invindex.Index, p *plan.Plan, i int
 		return out, true, nil
 
 	case plan.OpAnd:
-		return e.evalAndOp(c, ix, p, i)
+		return e.evalAndOp(c, src, p, i)
 	}
 	return nil, false, fmt.Errorf("engine: unknown plan op kind %d", op.Kind)
 }
@@ -146,170 +133,242 @@ func recTerm(c *execCtx, ti int32, n int) {
 }
 
 // evalAndOp evaluates one conjunction operator under evalOp's ownership
-// rules. The plan supplies the operand order; the kernel is re-priced on
-// the shard's actual sizes.
-func (e *Engine) evalAndOp(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32) ([]uint32, bool, error) {
+// rules: the source intersects the term operands (the plan supplies their
+// order, the source re-prices the kernel on its actual sizes), the
+// composite kids fold in pairwise, and the negated kids are subtracted.
+func (e *Engine) evalAndOp(c *execCtx, src leafSource, p *plan.Plan, i int32) ([]uint32, bool, error) {
 	op := &p.Ops[i]
+	var a conj
+	if len(p.TermOps(op)) > 0 {
+		docs, owned, err := src.and(e, c, p, i)
+		if err != nil {
+			return nil, false, err
+		}
+		// An empty term conjunction ends the operator: the composite kids
+		// are never evaluated.
+		if !a.and(e, c, p.Policy.Kernels, docs, owned) {
+			return nil, false, nil
+		}
+	}
+	for _, ki := range p.KidOps(op) {
+		s, owned, err := e.evalOp(c, src, p, ki)
+		if err != nil {
+			a.release(c)
+			return nil, false, err
+		}
+		if !a.and(e, c, p.Policy.Kernels, s, owned) {
+			return nil, false, nil
+		}
+	}
+	// a.docs is non-empty here: plan.Bounded guarantees at least one
+	// positive operand, and empty positives short-circuited above.
+	for _, ni := range p.NegOps(op) {
+		s, owned, err := e.evalOp(c, src, p, ni)
+		if err != nil {
+			a.release(c)
+			return nil, false, err
+		}
+		if len(s) > 0 {
+			out := sets.DifferenceInto(c.getBuf(), a.docs, s)
+			a.release(c)
+			a.docs, a.owned = out, true
+		}
+		if owned {
+			c.putBuf(s)
+		}
+		if len(a.docs) == 0 {
+			break
+		}
+	}
+	return a.docs, a.owned, nil
+}
+
+// conj is a conjunction's running result under evalOp's ownership rules;
+// docs is nil until the first operand folds in, and never empty after.
+type conj struct {
+	docs  []uint32
+	owned bool
+}
+
+// and folds operand s into the conjunction with intersectPair, consuming s
+// (recycled when owned). It reports false — with everything released —
+// once the conjunction is empty: nothing ANDed in later can resurrect it.
+func (a *conj) and(e *Engine, c *execCtx, pol plan.KernelPolicy, s []uint32, owned bool) bool {
+	if len(s) == 0 {
+		if owned {
+			c.putBuf(s)
+		}
+		a.release(c)
+		return false
+	}
+	if a.docs == nil {
+		a.docs, a.owned = s, owned
+		return true
+	}
+	out := e.intersectPair(c, pol, a.docs, s)
+	a.release(c)
+	if owned {
+		c.putBuf(s)
+	}
+	a.docs, a.owned = out, true
+	if len(out) == 0 {
+		a.release(c)
+		return false
+	}
+	return true
+}
+
+// release recycles the running result if the conjunction owns it.
+func (a *conj) release(c *execCtx) {
+	if a.owned {
+		c.putBuf(a.docs)
+	}
+	a.docs, a.owned = nil, false
+}
+
+// leafSource is everything the interpreter needs from one segment: a
+// term's sorted docIDs, and the intersection of a conjunction's term
+// operands in plan order — the leaf where the paper's k-way kernels run.
+// Everything above the leaves (OR unions, composite kids, NOT differences,
+// buffer ownership, cancellation polls, tracing) is evalOp's, shared by
+// every source.
+type leafSource interface {
+	// term returns the sorted docIDs of term, or nil. The slice is
+	// read-only: it aliases source memory or the context's decode memo.
+	term(c *execCtx, term string) []uint32
+	// and intersects the term operands of conjunction i (at least one)
+	// under evalOp's ownership rules.
+	and(e *Engine, c *execCtx, p *plan.Plan, i int32) ([]uint32, bool, error)
+}
+
+// baseSource returns the leaf source of a shard's base index; the storage
+// mode is decided here once, not per operator.
+func baseSource(ix *invindex.Index) leafSource {
+	if ix.Storage() == invindex.StorageCompressed {
+		return (*compressedBase)(ix)
+	}
+	return (*rawBase)(ix)
+}
+
+// rawBase runs conjunctions through the preprocessed-list kernels.
+type rawBase invindex.Index
+
+func (b *rawBase) term(_ *execCtx, term string) []uint32 { return (*invindex.Index)(b).TermDocs(term) }
+
+func (b *rawBase) and(e *Engine, c *execCtx, p *plan.Plan, i int32) ([]uint32, bool, error) {
 	f := c.frame()
-	compressed := ix.Storage() == invindex.StorageCompressed
-	for _, ti := range p.TermOps(op) {
-		// A wide conjunction fetches (and under compressed storage decodes)
-		// many operands inside one operator — poll between them too.
+	for _, ti := range p.TermOps(&p.Ops[i]) {
+		// A wide conjunction fetches many operands inside one operator —
+		// poll between them too.
 		if err := c.pollCancel(); err != nil {
 			c.releaseFrame(f)
 			return nil, false, err
 		}
-		term := p.Ops[ti].Term
-		var n int
-		if compressed {
-			s := ix.Stored(term)
-			if s != nil {
-				n = s.Len()
-			}
-			if n == 0 {
-				recTerm(c, ti, 0)
-				c.releaseFrame(f)
-				return nil, false, nil // empty operand: whole conjunction is empty
-			}
-			recTerm(c, ti, n)
-			f.stored = append(f.stored, s)
-			continue
-		}
-		l := ix.Postings(term)
+		l := (*invindex.Index)(b).Postings(p.Ops[ti].Term)
+		n := 0
 		if l != nil {
 			n = l.Len()
 		}
+		recTerm(c, ti, n)
 		if n == 0 {
-			recTerm(c, ti, 0)
 			c.releaseFrame(f)
 			return nil, false, nil // empty operand: whole conjunction is empty
 		}
-		recTerm(c, ti, n)
 		f.lists = append(f.lists, l)
 	}
-	var cur []uint32
-	curOwned := false
-	haveBase := false // distinguishes "no term operands" from an empty base intersection
-	switch {
-	case len(f.stored) >= 2:
-		// The plan fixed the operand order; re-price the strategy on this
-		// shard's actual lengths and encodings.
-		c.ops = c.ops[:0]
-		for _, s := range f.stored {
-			c.ops = append(c.ops, plan.Operand{Len: s.Len(), Shape: s.Shape(), Span: s.Span()})
-		}
-		strat := plan.ChooseStored(e.planCosts(), p.Policy.Kernels, c.ops)
-		if c.rec != nil {
-			rec := &c.rec.ops[i]
-			rec.kernel = strat
-			rec.estNs += plan.PriceStored(e.planCosts(), strat, c.ops)
-		}
-		cur = compress.IntersectStoredStrategy(c.getBuf(), strat, f.stored...)
-		curOwned = true
-		haveBase = true
-	case len(f.stored) == 1:
-		s := f.stored[0]
-		if s.Encoding() == compress.EncRaw {
-			cur = s.Decode() // aliases the stored slice
-		} else {
-			cur = c.decodeStored(s)
-		}
-		haveBase = true
-	case len(f.lists) >= 2:
-		a, k, span := e.listAlgorithm(c, p, f.lists)
-		if c.rec != nil && k != plan.KernelNone {
-			rec := &c.rec.ops[i]
-			rec.kernel = k
-			rec.estNs += plan.PriceListKernel(e.planCosts(), k, c.lens, span)
-		}
-		out, err := fastintersect.IntersectInto(&c.fi, c.getBuf(), a, f.lists...)
-		if err != nil {
-			c.releaseFrame(f)
-			return nil, false, err
-		}
-		if !a.Sorted() {
-			sets.SortU32(out)
-		}
-		cur = out
-		curOwned = true
-		haveBase = true
-	case len(f.lists) == 1:
-		cur = f.lists[0].Set()
-		haveBase = true
-	}
-	if haveBase && len(cur) == 0 {
-		// The term conjunction is already empty; ANDing anything else in
-		// cannot resurrect it — the composite kids are never evaluated.
-		if curOwned {
-			c.putBuf(cur)
-		}
+	if len(f.lists) == 1 {
+		out := f.lists[0].Set()
 		c.releaseFrame(f)
-		return nil, false, nil
+		return out, false, nil
 	}
-	for _, ki := range p.KidOps(op) {
-		s, owned, err := e.evalOp(c, ix, p, ki)
-		if err != nil {
-			if curOwned {
-				c.putBuf(cur)
-			}
-			c.releaseFrame(f)
-			return nil, false, err
-		}
-		if len(s) == 0 {
-			if owned {
-				c.putBuf(s)
-			}
-			if curOwned {
-				c.putBuf(cur)
-			}
-			c.releaseFrame(f)
-			return nil, false, nil
-		}
-		if !haveBase {
-			cur, curOwned, haveBase = s, owned, true
-			continue
-		}
-		out := e.intersectPair(c, p.Policy.Kernels, cur, s)
-		if curOwned {
-			c.putBuf(cur)
-		}
-		if owned {
-			c.putBuf(s)
-		}
-		cur = out
-		curOwned = true
-		if len(cur) == 0 {
-			c.putBuf(cur)
-			c.releaseFrame(f)
-			return nil, false, nil
-		}
+	a, k, span := e.listAlgorithm(c, p, f.lists)
+	if c.rec != nil && k != plan.KernelNone {
+		rec := &c.rec.ops[i]
+		rec.kernel = k
+		rec.estNs += plan.PriceListKernel(e.planCosts(), k, c.lens, span)
 	}
-	// cur is non-nil here: plan.Bounded guarantees at least one positive
-	// operand, and empty positives short-circuited above.
-	for _, ni := range p.NegOps(op) {
-		if len(cur) == 0 {
-			break
-		}
-		s, owned, err := e.evalOp(c, ix, p, ni)
-		if err != nil {
-			if curOwned {
-				c.putBuf(cur)
-			}
-			c.releaseFrame(f)
-			return nil, false, err
-		}
-		if len(s) > 0 {
-			out := sets.DifferenceInto(c.getBuf(), cur, s)
-			if curOwned {
-				c.putBuf(cur)
-			}
-			cur = out
-			curOwned = true
-		}
-		if owned {
-			c.putBuf(s)
-		}
-	}
+	out, err := fastintersect.IntersectInto(&c.fi, c.getBuf(), a, f.lists...)
 	c.releaseFrame(f)
-	return cur, curOwned, nil
+	if err != nil {
+		return nil, false, err
+	}
+	if !a.Sorted() {
+		sets.SortU32(out)
+	}
+	return out, true, nil
+}
+
+// compressedBase runs conjunctions directly over the stored encodings;
+// single terms decode once per context through the memo.
+type compressedBase invindex.Index
+
+func (b *compressedBase) term(c *execCtx, term string) []uint32 {
+	if s := (*invindex.Index)(b).Stored(term); s != nil {
+		return c.decodeStored(s)
+	}
+	return nil
+}
+
+func (b *compressedBase) and(e *Engine, c *execCtx, p *plan.Plan, i int32) ([]uint32, bool, error) {
+	f := c.frame()
+	for _, ti := range p.TermOps(&p.Ops[i]) {
+		if err := c.pollCancel(); err != nil {
+			c.releaseFrame(f)
+			return nil, false, err
+		}
+		s := (*invindex.Index)(b).Stored(p.Ops[ti].Term)
+		n := 0
+		if s != nil {
+			n = s.Len()
+		}
+		recTerm(c, ti, n)
+		if n == 0 {
+			c.releaseFrame(f)
+			return nil, false, nil // empty operand: whole conjunction is empty
+		}
+		f.stored = append(f.stored, s)
+	}
+	if len(f.stored) == 1 {
+		out := c.decodeStored(f.stored[0])
+		c.releaseFrame(f)
+		return out, false, nil
+	}
+	// The plan fixed the operand order; re-price the strategy on this
+	// shard's actual lengths and encodings.
+	c.ops = c.ops[:0]
+	for _, s := range f.stored {
+		c.ops = append(c.ops, plan.Operand{Len: s.Len(), Shape: s.Shape(), Span: s.Span()})
+	}
+	strat := plan.ChooseStored(e.planCosts(), p.Policy.Kernels, c.ops)
+	if c.rec != nil {
+		rec := &c.rec.ops[i]
+		rec.kernel = strat
+		rec.estNs += plan.PriceStored(e.planCosts(), strat, c.ops)
+	}
+	out := compress.IntersectStoredStrategy(c.getBuf(), strat, f.stored...)
+	c.releaseFrame(f)
+	return out, true, nil
+}
+
+// segSource is the leaf source of an in-memory segment, frozen or active.
+// Segment lists are small by construction, so the preprocessed structures
+// would not pay for themselves: conjunctions run the pairwise merge/gallop
+// chain. For an active segment the lists are live — callers copy results
+// that must outlive the shard lock.
+type segSource[S interface{ Postings(string) []uint32 }] struct{ seg S }
+
+func (s segSource[S]) term(_ *execCtx, term string) []uint32 { return s.seg.Postings(term) }
+
+func (s segSource[S]) and(e *Engine, c *execCtx, p *plan.Plan, i int32) ([]uint32, bool, error) {
+	var a conj
+	for _, ti := range p.TermOps(&p.Ops[i]) {
+		if err := c.pollCancel(); err != nil {
+			a.release(c)
+			return nil, false, err
+		}
+		if !a.and(e, c, p.Policy.Kernels, s.seg.Postings(p.Ops[ti].Term), false) {
+			return nil, false, nil
+		}
+	}
+	return a.docs, a.owned, nil
 }

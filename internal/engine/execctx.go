@@ -41,14 +41,16 @@ type execCtx struct {
 	// rec, when non-nil, makes evalOp record per-operator actuals (execs,
 	// rows, inclusive ns) into it — set by executePlan for traced queries,
 	// indexed parallel to the executing plan's Ops. Untraced queries pay
-	// one nil check per operator.
+	// one nil check per operator. evalSegments detaches it while in-memory
+	// segments run, so it describes the base evaluation only.
 	rec *traceRec
 
-	// ctx, when non-nil, is a cancellable request context: the exec loops
-	// poll it (pollCancel) so an expired deadline aborts the evaluation
-	// mid-shard. attachCtx leaves it nil for non-cancellable contexts, so
-	// the fast path pays a single nil check per operator. Cleared by
-	// putExecCtx — a pooled context must never pin a request's ctx tree.
+	// ctx, when non-nil, is a cancellable request context: evalOp polls it
+	// (pollCancel) on the base and every in-memory segment, so an expired
+	// deadline aborts the evaluation mid-shard. attachCtx leaves it nil for
+	// non-cancellable contexts, so the fast path pays a single nil check per
+	// operator. Cleared by putExecCtx — a pooled context must never pin a
+	// request's ctx tree.
 	ctx   context.Context
 	polls uint32 // pollCancel call counter (amortizes ctx.Err)
 }
@@ -161,8 +163,11 @@ const memoScanLimit = 32
 // per context lifetime (one shard evaluation — or, in a batch, one shard's
 // whole batch): a compressed term referenced twice pays a single decode.
 // The returned slice is owned by the memo — valid until putExecCtx, never
-// recycled by callers.
+// recycled by callers — or, for an EncRaw list, aliases the stored slice.
 func (c *execCtx) decodeStored(s *compress.Stored) []uint32 {
+	if s.Encoding() == compress.EncRaw {
+		return s.Decode() // no copy
+	}
 	if len(c.memoK) > memoScanLimit {
 		if b, ok := c.memoM[s]; ok {
 			return b

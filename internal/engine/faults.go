@@ -22,8 +22,9 @@ import (
 // single-shard inline, QueryBatch) uses to evaluate one shard: it applies
 // the fault plan, checks the request context at shard entry, and converts a
 // worker panic into a query error instead of killing the process. The
-// recover barrier runs after evalSegments' own deferred unlocks, so a
-// panicking evaluation releases its shard lock normally; buffers parked in
+// recover barrier runs after evalSegments' own deferred calls, so a
+// panicking evaluation releases its shard lock and re-attaches the trace
+// recording it detached for the in-memory segments; buffers parked in
 // un-released frames are abandoned to the GC (never recycled), so a pooled
 // context can not be corrupted by an abandoned evaluation.
 

@@ -222,3 +222,56 @@ func TestFeedbackRefitRaceUnderChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestFeedbackMultiSegmentTierBaseOnly: traced actuals describe the base
+// evaluation only. The same traced queries on a base alone and on that
+// base under a multi-segment tier (2 frozen segments plus an active one,
+// holding re-added copies of base documents) must return identical docs
+// and record identical kernel-execution and feedback-observation deltas —
+// a segment's pairwise merges are never credited to the base's kernels.
+func TestFeedbackMultiSegmentTierBaseOnly(t *testing.T) {
+	const numDocs = 20_000
+	cfg := Config{Shards: 2, CacheSize: 0, PlanFeedback: true, TraceSample: 1}
+	base := buildTestEngine(t, cfg, numDocs)
+	tier := buildTestEngine(t, cfg, numDocs)
+	reAddToTier(t, tier, numDocs, 3)
+
+	type delta struct {
+		docs  []uint32
+		execs map[string]uint64
+		obs   uint64
+	}
+	run := func(e *Engine, q string) delta {
+		before := e.Stats()
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("Query(%q): %v", q, err)
+		}
+		after := e.Stats()
+		d := delta{docs: res.Docs, execs: map[string]uint64{}, obs: after.FeedbackObservations - before.FeedbackObservations}
+		for k, n := range after.KernelExecs {
+			if n != before.KernelExecs[k] {
+				d.execs[k] = n - before.KernelExecs[k]
+			}
+		}
+		return d
+	}
+	for _, tq := range testQueries {
+		if tq.pred == nil {
+			continue
+		}
+		want, got := run(base, tq.q), run(tier, tq.q)
+		if !sets.Equal(got.docs, want.docs) {
+			t.Fatalf("Query(%q): tier returned %d docs, base %d", tq.q, len(got.docs), len(want.docs))
+		}
+		if fmt.Sprint(got.execs) != fmt.Sprint(want.execs) {
+			t.Fatalf("Query(%q): tier kernel executions %v, base alone %v", tq.q, got.execs, want.execs)
+		}
+		if got.obs != want.obs {
+			t.Fatalf("Query(%q): tier harvested %d feedback observations, base alone %d", tq.q, got.obs, want.obs)
+		}
+	}
+	if st := tier.Stats(); st.FeedbackObservations == 0 || len(st.KernelExecs) == 0 {
+		t.Fatalf("nothing traced: %d observations, kernel executions %v", st.FeedbackObservations, st.KernelExecs)
+	}
+}

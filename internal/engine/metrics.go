@@ -185,10 +185,12 @@ func (m *engineMetrics) recordKernels(pp *plan.Plan, agg *traceRec) {
 // each actual with the estimate the cost model made for it, so the re-fit
 // can compare what was promised against what execution delivered.
 //
-// The pairing is execution-level when available: evalAndOp re-prices every
-// conjunction on the shard's actual sizes and spans, and records both the
-// kernel that ran and the corrected cost that pricing promised (summed
-// across shards, like the actual ns — the two sides are commensurable).
+// The pairing is execution-level when available: the base's leaf source
+// (rawBase/compressedBase) re-prices every conjunction on the shard's
+// actual sizes and spans, and records both the kernel that ran and the
+// corrected cost that pricing promised (summed across shards, like the
+// actual ns — the two sides are commensurable). In-memory segments never
+// record: evalSegments detaches the recording while they run.
 // The logical plan's Op.Kernel/Op.Cost, priced at the universe span, is
 // only the fallback for paths that never re-price; attributing a merge's
 // nanoseconds to whichever kernel looked cheap at plan time would teach
@@ -228,7 +230,8 @@ type opAcc struct {
 // one opAcc per plan operator (indexed parallel to plan.Ops) plus the
 // shard-level span. It rides on execCtx.rec — evalOp records into it only
 // when it is non-nil, so untraced queries pay a single nil check per
-// operator. Pooled, like every other per-query structure.
+// operator, and only for the base: evalSegments detaches it while the
+// in-memory segments run. Pooled, like every other per-query structure.
 type traceRec struct {
 	ops       []opAcc
 	shardRows int64

@@ -66,6 +66,31 @@ func churnToTier(t *testing.T, e *Engine, m *refModel, batches int) {
 	}
 }
 
+// reAddToTier moves slices of the buildTestEngine corpus into a tier of
+// batches-1 frozen segments plus a non-empty active segment by re-adding
+// documents with their unchanged terms: every base copy is tombstoned and
+// every query's answer stays exactly what the base alone returns.
+func reAddToTier(t *testing.T, e *Engine, numDocs uint32, batches int) {
+	t.Helper()
+	for batch := 0; batch < batches; batch++ {
+		for d := uint32(batch); d < numDocs; d += 37 {
+			if err := e.AddDocument(d, testDocTerms(d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if batch < batches-1 {
+			if err := e.FreezeActive(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, n := range e.Stats().ShardSegments {
+		if n < batches { // base + batches-1 frozen
+			t.Fatalf("shard %d has %d segments, want ≥ %d", i, n, batches)
+		}
+	}
+}
+
 var tierQueries = []struct {
 	q        string
 	pos, neg []string

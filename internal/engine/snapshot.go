@@ -144,13 +144,7 @@ func writeShardLocked(w *bufio.Writer, s *shard) error {
 	}
 	// Base: terms extracted from the index (decoded when compressed), with
 	// the base tombstone filter riding in the section's tombs slot.
-	basePostings := func(term string) []uint32 {
-		if s.base.Storage() == invindex.StorageCompressed {
-			return s.base.Stored(term).Decode()
-		}
-		return s.base.Postings(term).Set()
-	}
-	if err := segment.WriteSection(w, s.base.Terms(), basePostings, s.baseTombs); err != nil {
+	if err := segment.WriteSection(w, s.base.Terms(), s.base.TermDocs, s.baseTombs); err != nil {
 		return fmt.Errorf("base: %w", err)
 	}
 	var scratch [binary.MaxVarintLen64]byte

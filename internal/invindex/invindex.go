@@ -215,6 +215,20 @@ func (ix *Index) Stored(term string) *compress.Stored {
 	return ix.stored[term]
 }
 
+// TermDocs returns the sorted docIDs of a term under either storage, or
+// nil if the term is unknown or the index is not built. Read-only: under
+// raw storage (and for EncRaw lists) it aliases index memory; otherwise it
+// is a fresh decode.
+func (ix *Index) TermDocs(term string) []uint32 {
+	if s := ix.Stored(term); s != nil {
+		return s.Decode()
+	}
+	if l := ix.Postings(term); l != nil {
+		return l.Set()
+	}
+	return nil
+}
+
 // Docs returns the number of distinct indexed documents. After Build it is
 // exact — the size of the union of every posting list — no matter how
 // documents arrived (Add, duplicate Add, or term-major AddPosting). Before

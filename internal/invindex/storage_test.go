@@ -86,6 +86,9 @@ func TestCompressedIndexAccessors(t *testing.T) {
 		if got, want := comp.DocFreq(term), raw.DocFreq(term); got != want {
 			t.Fatalf("DocFreq(%q) = %d, want %d", term, got, want)
 		}
+		if got, want := comp.TermDocs(term), raw.TermDocs(term); !sets.Equal(got, want) || len(want) != raw.DocFreq(term) {
+			t.Fatalf("TermDocs(%q): compressed %d docs, raw %d docs", term, len(got), len(want))
+		}
 	}
 	// Representation accessors are mode-specific.
 	if comp.Postings("m2") != nil {

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -74,6 +75,12 @@ func WriteSection(w *bufio.Writer, termList []string, postings func(term string)
 // reached.
 const maxSectionSet = 1 << 28
 
+// maxPrealloc caps how many elements a decoded count may reserve up front.
+// Counts come from the input — the checksum detects corruption, it does not
+// authenticate — so lists, the term map and term names grow as elements
+// actually decode: a forged count costs little before the input runs out.
+const maxPrealloc = 1 << 12
+
 // ReadSection decodes one section written by WriteSection, returning the
 // term map and tombstone set. Every decoded list is validated as a strictly
 // sorted set.
@@ -89,9 +96,9 @@ func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 		if n == 0 {
 			return nil, nil
 		}
-		out := make([]uint32, n)
+		out := make([]uint32, 0, min(n, maxPrealloc))
 		prev := uint64(0)
-		for i := range out {
+		for i := uint64(0); i < n; i++ {
 			gap, err := binary.ReadUvarint(r)
 			if err != nil {
 				return nil, err
@@ -106,7 +113,7 @@ func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 			if v > 1<<32-1 {
 				return nil, fmt.Errorf("segment: docID %d overflows uint32", v)
 			}
-			out[i] = uint32(v)
+			out = append(out, uint32(v))
 			prev = v
 		}
 		return out, nil
@@ -118,8 +125,8 @@ func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 	if termCount > maxSectionSet {
 		return nil, nil, fmt.Errorf("segment: term count %d exceeds limit", termCount)
 	}
-	terms := make(map[string][]uint32, termCount)
-	nameBuf := make([]byte, 0, 64)
+	terms := make(map[string][]uint32, min(termCount, maxPrealloc))
+	var name bytes.Buffer // grows as name bytes arrive, like the lists
 	for i := uint64(0); i < termCount; i++ {
 		nameLen, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -128,21 +135,18 @@ func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 		if nameLen > 1<<20 {
 			return nil, nil, fmt.Errorf("segment: term length %d exceeds limit", nameLen)
 		}
-		if uint64(cap(nameBuf)) < nameLen {
-			nameBuf = make([]byte, nameLen)
-		}
-		nameBuf = nameBuf[:nameLen]
-		if _, err := io.ReadFull(r, nameBuf); err != nil {
+		name.Reset()
+		if _, err := io.CopyN(&name, r, int64(nameLen)); err != nil {
 			return nil, nil, err
 		}
 		ps, err := readSet()
 		if err != nil {
-			return nil, nil, fmt.Errorf("segment: term %q postings: %w", nameBuf, err)
+			return nil, nil, fmt.Errorf("segment: term %q postings: %w", name.Bytes(), err)
 		}
 		if len(ps) == 0 {
-			return nil, nil, fmt.Errorf("segment: term %q has no postings", nameBuf)
+			return nil, nil, fmt.Errorf("segment: term %q has no postings", name.Bytes())
 		}
-		terms[string(nameBuf)] = ps
+		terms[name.String()] = ps
 	}
 	tombs, err := readSet()
 	if err != nil {

@@ -32,17 +32,6 @@ import (
 	"fastintersect/internal/sets"
 )
 
-// TermSource is the read interface the engine's in-memory segment evaluator
-// needs: term → sorted docIDs. Both Mutable and Frozen implement it, so one
-// evaluator serves the whole tier above the base.
-type TermSource interface {
-	// Postings returns the sorted docID list of term, or nil. The returned
-	// slice must be treated as read-only; for a Mutable it may be shifted in
-	// place by the next mutation, so callers that outlive the shard lock
-	// must copy it.
-	Postings(term string) []uint32
-}
-
 // Mutable is the active write head of one shard: a term → sorted docIDs map
 // plus a docID → terms reverse map so deletes and overwrites are exact.
 // All access is guarded by the owning shard's mutex.
@@ -92,7 +81,9 @@ func (m *Mutable) RemoveDoc(docID uint32) bool {
 	return true
 }
 
-// Postings implements TermSource. The result aliases live map state.
+// Postings returns the sorted docID list of term, or nil. The result aliases
+// live map state: the next mutation may shift it in place, so callers that
+// outlive the shard lock must copy it.
 func (m *Mutable) Postings(term string) []uint32 { return m.terms[term] }
 
 // HasDoc reports whether docID is present in the segment.
@@ -166,8 +157,8 @@ func FrozenFromParts(terms map[string][]uint32, tombs []uint32) (*Frozen, error)
 	return f, nil
 }
 
-// Postings implements TermSource. The result is immutable and remains valid
-// after the shard lock is released.
+// Postings returns the sorted docID list of term, or nil. The result is
+// immutable and remains valid after the shard lock is released.
 func (f *Frozen) Postings(term string) []uint32 { return f.terms[term] }
 
 // DocFreq returns the document frequency of term in this segment.

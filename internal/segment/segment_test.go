@@ -3,7 +3,9 @@ package segment
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fastintersect/internal/sets"
@@ -179,6 +181,33 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	for cut := 0; cut < len(valid); cut++ {
 		if _, err := ReadFrozen(bufio.NewReader(bytes.NewReader(valid[:cut]))); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(valid))
+		}
+	}
+}
+
+// TestCodecForgedCountsAllocateLittle: counts in a section come from the
+// input, which a checksum does not authenticate. A tiny section announcing
+// a huge list or term map must fail at end of input without reserving
+// memory for the announced size.
+func TestCodecForgedCountsAllocateLittle(t *testing.T) {
+	huge := binary.AppendUvarint(nil, maxSectionSet)
+	for name, section := range map[string][]byte{
+		// One term "a" whose posting list claims 2^28 entries: 8 bytes.
+		"list": append([]byte{1, 1, 'a'}, huge...),
+		// A term map claiming 2^28 terms.
+		"terms": huge,
+		// One term whose name claims the 1 MiB maximum length.
+		"name": binary.AppendUvarint([]byte{1}, 1<<20),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadSection(bufio.NewReader(bytes.NewReader(section)))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: forged %d-byte section decoded without error", name, len(section))
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("%s: forged %d-byte section allocated %d bytes before failing", name, len(section), d)
 		}
 	}
 }
