@@ -2,11 +2,8 @@ package engine
 
 import (
 	"context"
-	"sync"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/plan"
-	"fastintersect/internal/sets"
 )
 
 // BatchResult pairs one query of a QueryBatch call with its outcome.
@@ -21,13 +18,15 @@ type BatchResult struct {
 //
 //   - queries that normalize to the same canonical form are parsed, planned
 //     and executed once (they share one *Result);
-//   - all cache misses of the batch are planned against one statistics
-//     snapshot and evaluated per shard by ONE pooled execution context, so
+//   - the plans of all cache misses come from the plan cache Query uses
+//     (a miss builds and memoizes one), so a repeated batch re-plans
+//     nothing;
+//   - all cache misses run in ONE pass of the engine's shard fan-out: each
+//     shard evaluates the whole batch on one pooled execution context, so
 //     the decoded-term memo of compressed storage is shared across the
-//     whole batch — a compressed term appearing in ten queries is decoded
-//     once per shard, not ten times;
-//   - each shard is visited once for the whole batch instead of once per
-//     query, halving fan-out scheduling overhead for small queries.
+//     batch — a compressed term appearing in ten queries is decoded once
+//     per shard, not ten times — and each shard is visited once for the
+//     whole batch instead of once per query.
 //
 // Results are positionally aligned with queries. Parse failures are
 // reported per query; an evaluation error fails only the queries sharing
@@ -109,8 +108,7 @@ func (e *Engine) queryBatch(ctx context.Context, queries []string, countOnly boo
 	}
 
 	if len(pending) > 0 {
-		shards := e.snapshot()
-		if shards == nil {
+		if shards := e.snapshot(); shards == nil {
 			for _, u := range pending {
 				e.met.queryErrors.Add(uint64(len(u.idxs)))
 				u.err = ErrNotBuilt
@@ -128,110 +126,37 @@ func (e *Engine) queryBatch(ctx context.Context, queries []string, countOnly boo
 	return out
 }
 
-// batchPending is one canonical form of a batch: the queries that share it,
-// its plan context while executing, and its outcome.
+// batchPending is one canonical form of a batch: the queries that share it
+// and its outcome.
 type batchPending struct {
 	key  string
 	ast  plan.Node
-	pc   *planCtx
 	res  *Result
 	err  error
 	idxs []int // positions in the caller-aligned result slice
 }
 
-// runBatch plans every pending canonical form once and evaluates all plans
-// shard by shard: one execution context per shard runs the whole batch, so
-// its decoded-term memo and buffers are shared across queries.
+// runBatch looks up every pending canonical form's plan (through the plan
+// cache, like Query) and evaluates them all in one shard fan-out, so each
+// shard runs the whole batch on one execution context.
 func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batchPending, gen uint64, countOnly bool) {
-	stored := e.cfg.Storage == invindex.StorageCompressed
-	var stats *planStats
-	for _, u := range pending {
-		u.pc = getPlanCtx()
-		if stats == nil {
-			u.pc.stats.fill(shards)
-			stats = &u.pc.stats
-		}
-		plan.Build(&u.pc.plan, u.ast, u.key, stats, e.planCosts(), e.cfg.PlanPolicy, stored)
-	}
-
-	nS := len(shards)
-	docsM := make([][]uint32, len(pending)*nS)
-	ownedM := make([]bool, len(pending)*nS)
-	errsM := make([]error, len(pending)*nS)
-	ctxs := make([]*execCtx, nS)
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			// One bounded worker slot per shard, for the whole batch. A
-			// cancelled context skips the shard entirely; evalShard's entry
-			// check then fails each query with the context error below.
-			acquireErr := e.acquireWorker(ctx)
-			if acquireErr == nil {
-				defer func() { <-e.workers }()
-			}
-			c := getExecCtx()
-			c.attachCtx(ctx)
-			ctxs[i] = c
-			for j, u := range pending {
-				cell := j*nS + i
-				if acquireErr != nil {
-					errsM[cell] = acquireErr
-					continue
-				}
-				docsM[cell], ownedM[cell], errsM[cell] = e.evalShard(c, s, i, &u.pc.plan)
-			}
-		}(i, s)
-	}
-	wg.Wait()
-
+	plans := make([]*plan.Plan, len(pending))
 	for j, u := range pending {
-		row := docsM[j*nS : (j+1)*nS]
-		var evalErr error
-		for _, err := range errsM[j*nS : (j+1)*nS] {
-			if err != nil {
-				evalErr = err
-				break
-			}
-		}
-		if evalErr != nil {
-			e.met.queryErrors.Add(uint64(len(u.idxs)))
-			u.err = evalErr
-		} else if countOnly {
-			// Shards partition the docID space: disjoint results, so the
-			// count is the plain sum and no merged slice is built (or
-			// cached — nothing was materialized).
-			total := 0
-			for _, r := range row {
-				total += len(r)
-			}
-			u.res = &Result{Count: total, Normalized: u.key}
-		} else {
-			total := 0
-			for _, r := range row {
-				total += len(r)
-			}
-			merged := sets.UnionKInto(make([]uint32, 0, total), row...)
-			e.cache.put(u.key, merged, gen)
-			u.res = &Result{Docs: merged, Count: len(merged), Normalized: u.key}
-		}
+		plans[j] = e.lookupPlan(shards, u.ast, u.key, nil)
 	}
-
-	for i, c := range ctxs {
-		if c == nil {
+	qc := e.fanOut(ctx, shards, plans, nil, nil)
+	for j, u := range pending {
+		if err := qc.err(j); err != nil {
+			e.met.queryErrors.Add(uint64(len(u.idxs)))
+			u.err = err
 			continue
 		}
-		for j := range pending {
-			cell := j*nS + i
-			if ownedM[cell] {
-				c.putBuf(docsM[cell])
-			}
+		merged, count := mergeShards(qc.row(j), countOnly)
+		if !countOnly {
+			// Nothing is materialized under countOnly, so nothing is cached.
+			e.cache.put(u.key, merged, gen)
 		}
-		putExecCtx(c)
+		u.res = &Result{Docs: merged, Count: count, Normalized: u.key}
 	}
-	for _, u := range pending {
-		putPlanCtx(u.pc)
-		u.pc = nil
-	}
+	putQueryCtx(qc)
 }

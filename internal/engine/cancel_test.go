@@ -98,8 +98,8 @@ func TestQueryContextNilAndBackground(t *testing.T) {
 
 // TestFaultPanicBarrier: an injected worker panic becomes a query error —
 // the process survives, the error names the shard, and the engine keeps
-// serving afterwards. Covers the single-shard inline path and the
-// multi-shard fan-out.
+// serving afterwards. Covers a single shard (evaluated on the calling
+// goroutine) and four (three more on their own goroutines).
 func TestFaultPanicBarrier(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -146,6 +146,68 @@ func TestFaultShardFilter(t *testing.T) {
 	res, err := e.Query("m2")
 	if err != nil || len(res.Docs) == 0 {
 		t.Fatalf("filtered fault hit the wrong shard: res=%v err=%v", res, err)
+	}
+}
+
+// TestFanOutSingleWorkerDeadline: shard 0 runs on the calling goroutine,
+// so with one worker slot for four shards every entry point must still
+// finish — the caller never holds its slot while waiting for the other
+// shards. A self-deadlock would surface as a deadline error (or a hang the
+// watchdog reports); every result is checked against refEval.
+func TestFanOutSingleWorkerDeadline(t *testing.T) {
+	const numDocs = 2000
+	e := buildTestEngine(t, Config{Shards: 4, Workers: 1, CacheSize: 0}, numDocs)
+	var qs []string
+	var wants [][]uint32
+	for _, tq := range testQueries {
+		if tq.pred != nil {
+			qs = append(qs, tq.q)
+			wants = append(wants, refEval(numDocs, tq.pred))
+		}
+	}
+	check := func(op, q string, res *Result, err error, want []uint32, count bool) {
+		if err != nil {
+			t.Errorf("%s(%q): %v", op, q, err)
+			return
+		}
+		if res.Count != len(want) || (!count && !sets.Equal(res.Docs, want)) {
+			t.Errorf("%s(%q) = %d docs (count %d), want %d", op, q, len(res.Docs), res.Count, len(want))
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				for i := 0; i < 10; i++ {
+					k := (g + i) % len(qs)
+					q, want := qs[k], wants[k]
+					res, err := e.QueryContext(ctx, q)
+					check("Query", q, res, err, want, false)
+					res, err = e.QueryCountContext(ctx, q)
+					check("QueryCount", q, res, err, want, true)
+					res, _, err = e.ExplainAnalyzeContext(ctx, q)
+					check("ExplainAnalyze", q, res, err, want, false)
+					for j, br := range e.QueryBatchContext(ctx, qs) {
+						check("QueryBatch", qs[j], br.Result, br.Err, wants[j], false)
+					}
+					for j, br := range e.QueryBatchCountContext(ctx, qs) {
+						check("QueryBatchCount", qs[j], br.Result, br.Err, wants[j], true)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("fan-out with one worker slot did not finish: self-deadlock")
 	}
 }
 

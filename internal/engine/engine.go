@@ -26,8 +26,9 @@
 // results are merged. Cache entries are stamped with the engine's index
 // generation — every mutation and rebuild bumps it — so a cached result
 // can never resurrect a deleted document. Explain returns the executed
-// plan; QueryBatch amortizes planning and decode memos across many
-// queries.
+// plan; QueryBatch deduplicates many queries, plans them through the same
+// plan cache, and runs them all in one pass of the same shard fan-out, so
+// each shard's decode memo serves the whole batch.
 //
 // The posting storage is pluggable (Config.Storage): under
 // invindex.StorageCompressed each shard's base stores every posting list
@@ -569,40 +570,11 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 	if shards == nil {
 		return nil, "", ErrNotBuilt
 	}
-	// The stats epoch is loaded BEFORE the statistics are read: if an
-	// Install or compaction swaps bases in between, the plan built below is
-	// stamped with the superseded epoch and rebuilt on its next lookup
-	// instead of lingering with stale shapes. The feedback epoch is folded
-	// in the same way: both counters only ever increase, so their sum
-	// strictly increases whenever either bumps, and a published correction
-	// snapshot re-prices every cached plan without plancache changes.
-	epoch := e.statsEpoch.Load()
-	if e.fb != nil {
-		epoch += e.fb.Epoch()
-	}
-	cacheablePlan := mode == modeQuery || mode == modeCount
-	var pp *plan.Plan
 	var pc *planCtx
-	if cacheablePlan {
-		pp = e.plans.get(key, epoch)
-	}
-	if pp != nil {
-		e.met.planHits.Inc()
-	} else {
+	if mode == modeExplain || mode == modeAnalyze {
 		pc = getPlanCtx()
-		pc.stats.fill(shards)
-		stored := e.cfg.Storage == invindex.StorageCompressed
-		if cacheablePlan {
-			// Build into a cache-owned plan (shared read-only by later
-			// queries); Explain/Analyze rebuild into the pooled arena so
-			// their rendering always reflects current statistics.
-			e.met.planMisses.Inc()
-			pp = plan.Build(new(plan.Plan), ast, key, &pc.stats, e.planCosts(), e.cfg.PlanPolicy, stored)
-			e.plans.put(key, pp, epoch)
-		} else {
-			pp = plan.Build(&pc.plan, ast, key, &pc.stats, e.planCosts(), e.cfg.PlanPolicy, stored)
-		}
 	}
+	pp := e.lookupPlan(shards, ast, key, pc)
 	stamp(tr, obs.StagePlan, &t0)
 	expl := ""
 	if mode == modeExplain {
@@ -711,97 +683,99 @@ func (e *Engine) acquireWorker(ctx context.Context) error {
 	}
 }
 
-// executePlan runs one physical plan over the shard set and merges the
-// per-shard sorted results into a fresh slice, returning the merged docs
-// and their count. Under countOnly the merge is elided entirely: the
-// per-shard result lengths are summed (shards partition the docID space,
-// so the sorted per-shard results are disjoint) and the docs return is
-// nil — no merged slice is built or copied. When the query is traced
-// (tr and agg non-nil, always together), each shard evaluation records its
-// per-operator actuals into a context-local traceRec, and the recordings
-// are merged into agg — the per-shard spans and the exec/merge stage
-// timings land on tr.
-//
-// Abort discipline: a cancelled context or a failing/panicking shard never
-// leaks resources. Worker slots are released by deferred receives, every
-// execCtx drawn here is returned through putQueryCtx/putExecCtx on all
-// paths, and the fan-out always rejoins (wg.Wait) before returning — a
-// worker observing the cancellation aborts at its next poll, so no
-// goroutine outlives the call.
-func (e *Engine) executePlan(ctx context.Context, shards []*shard, pp *plan.Plan, tr *obs.Trace, agg *traceRec, countOnly bool) ([]uint32, int, error) {
-	if len(shards) == 1 {
-		// Single shard: evaluate inline, skipping the fan-out goroutine but
-		// still holding a bounded worker slot — Config.Workers caps shard
-		// evaluations across ALL in-flight queries regardless of shape.
-		if err := e.acquireWorker(ctx); err != nil {
-			return nil, 0, err
-		}
-		defer func() { <-e.workers }()
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		c := getExecCtx()
-		c.attachCtx(ctx)
-		c.rec = agg // nil for untraced queries
-		docs, owned, err := e.evalShard(c, shards[0], 0, pp)
-		// agg is owned by the caller: detach it before the context returns
-		// to the pool on every path, or putExecCtx would recycle it.
-		c.rec = nil
-		if err != nil {
-			putExecCtx(c)
-			return nil, 0, err
-		}
-		if tr != nil {
-			stamp(tr, obs.StageExec, &t0)
-			tr.Shards = append(tr.Shards, obs.ShardSpan{Shard: 0, Rows: len(docs), Ns: tr.Stages[obs.StageExec]})
-		}
-		count := len(docs)
-		var merged []uint32
-		if !countOnly {
-			merged = make([]uint32, count)
-			copy(merged, docs)
-		}
-		if owned {
-			c.putBuf(docs)
-		}
-		putExecCtx(c)
-		stamp(tr, obs.StageMerge, &t0)
-		return merged, count, nil
+// lookupPlan returns the physical plan for the canonical form key. With pc
+// nil it serves the plan cache: the plan memoized at the current epoch, or
+// one built into a fresh cache-owned plan (shared read-only by later
+// queries) and memoized. With pc non-nil — Explain and Analyze — it always
+// rebuilds into pc's pooled arena, so the rendering reflects current
+// statistics.
+func (e *Engine) lookupPlan(shards []*shard, ast plan.Node, key string, pc *planCtx) *plan.Plan {
+	stored := e.cfg.Storage == invindex.StorageCompressed
+	if pc != nil {
+		pc.stats.fill(shards)
+		return plan.Build(&pc.plan, ast, key, &pc.stats, e.planCosts(), e.cfg.PlanPolicy, stored)
 	}
+	// The stats epoch is loaded BEFORE the statistics are read: if an
+	// Install or compaction swaps bases in between, the plan built below is
+	// stamped with the superseded epoch and rebuilt on its next lookup
+	// instead of lingering with stale shapes. The feedback epoch is folded
+	// in the same way: both counters only ever increase, so their sum
+	// strictly increases whenever either bumps, and a published correction
+	// snapshot re-prices every cached plan without plancache changes.
+	epoch := e.statsEpoch.Load()
+	if e.fb != nil {
+		epoch += e.fb.Epoch()
+	}
+	if pp := e.plans.get(key, epoch); pp != nil {
+		e.met.planHits.Inc()
+		return pp
+	}
+	e.met.planMisses.Inc()
+	pc = getPlanCtx()
+	pc.stats.fill(shards)
+	pp := plan.Build(new(plan.Plan), ast, key, &pc.stats, e.planCosts(), e.cfg.PlanPolicy, stored)
+	putPlanCtx(pc)
+	e.plans.put(key, pp, epoch)
+	return pp
+}
+
+// executePlan runs one physical plan over the shard set (see fanOut) and
+// merges the per-shard results (see mergeShards), returning the merged docs
+// and their count; under countOnly the docs return is nil. When the query is
+// traced (tr and agg non-nil, always together), the per-operator actuals of
+// every shard are merged into agg, and the per-shard spans and the
+// exec/merge stage timings land on tr.
+func (e *Engine) executePlan(ctx context.Context, shards []*shard, pp *plan.Plan, tr *obs.Trace, agg *traceRec, countOnly bool) ([]uint32, int, error) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	qc := getQueryCtx(len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			if err := e.acquireWorker(ctx); err != nil {
-				qc.errs[i] = err // no slot held, no context drawn
-				return
-			}
-			defer func() { <-e.workers }()
-			c := getExecCtx()
-			c.attachCtx(ctx)
-			qc.ctxs[i] = c
-			if agg != nil {
-				c.rec = getTraceRec(len(pp.Ops))
-				shardStart := time.Now()
-				qc.results[i], qc.owned[i], qc.errs[i] = e.evalShard(c, s, i, pp)
-				c.rec.shardNs = time.Since(shardStart).Nanoseconds()
-				return
-			}
-			qc.results[i], qc.owned[i], qc.errs[i] = e.evalShard(c, s, i, pp)
-		}(i, s)
+	qc := e.fanOut(ctx, shards, []*plan.Plan{pp}, agg, tr)
+	if err := qc.err(0); err != nil {
+		putQueryCtx(qc)
+		return nil, 0, err
 	}
-	wg.Wait()
+	stamp(tr, obs.StageExec, &t0)
+	merged, count := mergeShards(qc.row(0), countOnly)
+	putQueryCtx(qc)
+	stamp(tr, obs.StageMerge, &t0)
+	return merged, count, nil
+}
+
+// fanOut is the engine's one shard fan-out: every shard runs plans, in
+// order, on one pooled execution context under one bounded worker slot
+// (see runShard), so a batch shares each shard's decode memo across all of
+// its plans. Shards 1..n−1 run on their own goroutines and shard 0 on the
+// calling goroutine, so a single-shard engine spawns none. The returned
+// queryCtx holds one result cell per (plan, shard); the caller reads them
+// with row/err and releases everything with putQueryCtx.
+//
+// Tracing is for single plans: with agg non-nil, each shard records its
+// per-operator actuals into a context-local traceRec, and once the shards
+// rejoin the recordings are merged into agg and a per-shard span lands on
+// tr.
+//
+// Abort discipline: a cancelled context or a failing/panicking shard never
+// leaks resources. Worker slots are released by deferred receives, every
+// execCtx drawn here is returned through putQueryCtx on all paths, and the
+// fan-out always rejoins (wg.Wait) before returning — a worker observing the
+// cancellation aborts at its next poll, so no goroutine outlives the call.
+func (e *Engine) fanOut(ctx context.Context, shards []*shard, plans []*plan.Plan, agg *traceRec, tr *obs.Trace) *queryCtx {
+	qc := getQueryCtx(len(shards), len(plans))
+	qc.ctx, qc.shards, qc.traced = ctx, shards, agg != nil
+	qc.plans = append(qc.plans, plans...)
+	qc.wg.Add(len(shards) - 1)
+	for i := 1; i < len(shards); i++ {
+		go func(i int) {
+			defer qc.wg.Done()
+			e.runShard(qc, i)
+		}(i)
+	}
+	// Shard 0 holds its worker slot only while it evaluates, never while
+	// waiting for the others, so even Workers: 1 cannot self-deadlock.
+	e.runShard(qc, 0)
+	qc.wg.Wait()
 	if agg != nil {
-		// Harvest the per-shard recordings before the contexts are pooled:
-		// putQueryCtx → putExecCtx would recycle them unread (that fallback
-		// is the cleanup for the error return below).
 		for i, c := range qc.ctxs {
 			if c == nil || c.rec == nil {
 				continue
@@ -812,31 +786,54 @@ func (e *Engine) executePlan(ctx context.Context, shards []*shard, pp *plan.Plan
 			c.rec = nil
 		}
 	}
-	for _, err := range qc.errs {
-		if err != nil {
-			putQueryCtx(qc)
-			return nil, 0, err
+	return qc
+}
+
+// runShard evaluates every plan of qc on shard i. It takes one bounded
+// worker slot — Config.Workers caps shard evaluations across ALL in-flight
+// queries — giving up when the context is cancelled first, so a queued
+// query never starts evaluating; each plan of the shard then reports the
+// context error.
+func (e *Engine) runShard(qc *queryCtx, i int) {
+	n := len(qc.shards)
+	if err := e.acquireWorker(qc.ctx); err != nil {
+		for j := range qc.plans {
+			qc.errs[j*n+i] = err // no slot held, no context drawn
 		}
+		return
 	}
-	stamp(tr, obs.StageExec, &t0)
-	// Shards partition the document space, so the per-shard sorted results
-	// are disjoint and merging is a pure interleave; the k-way union writes
-	// into a fresh exactly-sized slice, so the merged result never aliases
-	// a posting list or a pooled buffer. Disjointness also means a count
-	// needs no merge at all — the lengths simply add.
+	defer func() { <-e.workers }()
+	c := getExecCtx()
+	c.attachCtx(qc.ctx)
+	qc.ctxs[i] = c
+	var start time.Time
+	if qc.traced {
+		c.rec = getTraceRec(len(qc.plans[0].Ops))
+		start = time.Now()
+	}
+	for j, p := range qc.plans {
+		cell := j*n + i
+		qc.results[cell], qc.owned[cell], qc.errs[cell] = e.evalShard(c, qc.shards[i], i, p)
+	}
+	if qc.traced {
+		c.rec.shardNs = time.Since(start).Nanoseconds()
+	}
+}
+
+// mergeShards combines one plan's per-shard sorted results. Shards partition
+// the document space, so the results are disjoint: a count is the plain sum
+// of their lengths (countOnly returns nil docs, building nothing), and the
+// merged docs are a pure interleave written by the k-way union into a fresh
+// exactly-sized slice, which never aliases a posting list or a pooled buffer.
+func mergeShards(row [][]uint32, countOnly bool) ([]uint32, int) {
 	total := 0
-	for _, r := range qc.results {
+	for _, r := range row {
 		total += len(r)
 	}
 	if countOnly {
-		putQueryCtx(qc)
-		stamp(tr, obs.StageMerge, &t0)
-		return nil, total, nil
+		return nil, total
 	}
-	merged := sets.UnionKInto(make([]uint32, 0, total), qc.results...)
-	putQueryCtx(qc)
-	stamp(tr, obs.StageMerge, &t0)
-	return merged, total, nil
+	return sets.UnionKInto(make([]uint32, 0, total), row...), total
 }
 
 // EncodingStat aggregates the posting lists stored under one encoding

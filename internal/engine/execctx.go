@@ -39,7 +39,7 @@ type execCtx struct {
 	ops   []plan.Operand // scratch for per-shard stored-strategy pricing
 
 	// rec, when non-nil, makes evalOp record per-operator actuals (execs,
-	// rows, inclusive ns) into it — set by executePlan for traced queries,
+	// rows, inclusive ns) into it — set by fanOut for traced queries,
 	// indexed parallel to the executing plan's Ops. Untraced queries pay
 	// one nil check per operator. evalSegments detaches it while in-memory
 	// segments run, so it describes the base evaluation only.
@@ -124,8 +124,8 @@ func putExecCtx(c *execCtx) {
 	c.ctx = nil
 	c.polls = 0
 	if c.rec != nil {
-		// Error-path cleanup: executePlan harvests (and detaches) recordings
-		// on success, so one still attached here was abandoned mid-query.
+		// Defensive cleanup: fanOut harvests (and detaches) every recording
+		// once the shards rejoin, so one still attached here was abandoned.
 		putTraceRec(c.rec)
 		c.rec = nil
 	}
@@ -226,10 +226,17 @@ func (c *execCtx) releaseFrame(f *evalFrame) {
 	c.pool = append(c.pool, f)
 }
 
-// queryCtx is the per-query fan-out state: one slot per shard for the
-// result, error and execution context of that shard's evaluation. Pooled so
-// steady-state queries reuse the slot arrays.
+// queryCtx is the state of one shard fan-out (see Engine.fanOut): the
+// inputs every shard worker reads, one execution context per shard, and one
+// result cell per (plan, shard) pair at index plan*len(shards)+shard. Pooled
+// so steady-state fan-outs reuse the slot arrays.
 type queryCtx struct {
+	ctx    context.Context
+	shards []*shard
+	plans  []*plan.Plan
+	traced bool // each shard records per-operator actuals (single plans only)
+	wg     sync.WaitGroup
+
 	results [][]uint32
 	owned   []bool
 	errs    []error
@@ -238,35 +245,61 @@ type queryCtx struct {
 
 var queryCtxPool = sync.Pool{New: func() any { return new(queryCtx) }}
 
-func getQueryCtx(shards int) *queryCtx {
+func getQueryCtx(shards, plans int) *queryCtx {
 	q := queryCtxPool.Get().(*queryCtx)
-	if cap(q.results) < shards {
-		q.results = make([][]uint32, shards)
-		q.owned = make([]bool, shards)
-		q.errs = make([]error, shards)
+	cells := shards * plans
+	if cap(q.results) < cells {
+		q.results = make([][]uint32, cells)
+		q.owned = make([]bool, cells)
+		q.errs = make([]error, cells)
+	}
+	if cap(q.ctxs) < shards {
 		q.ctxs = make([]*execCtx, shards)
 	}
-	q.results = q.results[:shards]
-	q.owned = q.owned[:shards]
-	q.errs = q.errs[:shards]
+	q.results = q.results[:cells]
+	q.owned = q.owned[:cells]
+	q.errs = q.errs[:cells]
 	q.ctxs = q.ctxs[:shards]
 	return q
 }
 
-// putQueryCtx recycles every shard's result buffer into its own context,
-// releases the contexts and returns the slot arrays to the pool.
-func putQueryCtx(q *queryCtx) {
-	for i := range q.results {
-		if q.ctxs[i] != nil {
-			if q.owned[i] {
-				q.ctxs[i].putBuf(q.results[i])
-			}
-			putExecCtx(q.ctxs[i])
+// row returns plan j's per-shard results, in shard order.
+func (q *queryCtx) row(j int) [][]uint32 {
+	n := len(q.shards)
+	return q.results[j*n : (j+1)*n]
+}
+
+// err returns the first shard error of plan j, or nil.
+func (q *queryCtx) err(j int) error {
+	n := len(q.shards)
+	for _, err := range q.errs[j*n : (j+1)*n] {
+		if err != nil {
+			return err
 		}
-		q.results[i] = nil
-		q.owned[i] = false
-		q.errs[i] = nil
-		q.ctxs[i] = nil
 	}
+	return nil
+}
+
+// putQueryCtx recycles every owned result buffer into the context of the
+// shard that produced it, releases the contexts, drops every reference into
+// the request and the shard set, and returns the slot arrays to the pool.
+func putQueryCtx(q *queryCtx) {
+	n := len(q.shards)
+	for cell := range q.results {
+		if q.owned[cell] {
+			q.ctxs[cell%n].putBuf(q.results[cell])
+		}
+		q.results[cell] = nil
+		q.owned[cell] = false
+		q.errs[cell] = nil
+	}
+	for i, c := range q.ctxs {
+		if c != nil {
+			putExecCtx(c)
+			q.ctxs[i] = nil
+		}
+	}
+	clear(q.plans)
+	q.ctx, q.shards, q.plans, q.traced = nil, nil, q.plans[:0], false
 	queryCtxPool.Put(q)
 }

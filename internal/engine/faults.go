@@ -18,10 +18,11 @@ import (
 // panics to drive the abort paths. Production engines leave Config.Faults
 // nil and pay one pointer check per shard evaluation.
 //
-// evalShard is the single entry point every execution path (Query fan-out,
-// single-shard inline, QueryBatch) uses to evaluate one shard: it applies
-// the fault plan, checks the request context at shard entry, and converts a
-// worker panic into a query error instead of killing the process. The
+// evalShard is the single entry point the shard fan-out (fanOut, which
+// serves Query, QueryCount, Explain, ExplainAnalyze and QueryBatch alike)
+// uses to evaluate one shard: it applies the fault plan, checks the request
+// context at shard entry, and converts a worker panic into a query error
+// instead of killing the process. The
 // recover barrier runs after evalSegments' own deferred calls, so a
 // panicking evaluation releases its shard lock and re-attaches the trace
 // recording it detached for the in-memory segments; buffers parked in

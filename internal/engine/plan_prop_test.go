@@ -317,6 +317,35 @@ func TestQueryBatchNotBuilt(t *testing.T) {
 	}
 }
 
+// TestQueryBatchReusesPlanCache: a batch looks its plans up in the plan
+// cache Query uses. With the result cache off, repeating a batch must
+// re-plan nothing — one plan-cache hit per distinct canonical form.
+func TestQueryBatchReusesPlanCache(t *testing.T) {
+	e := buildTestEngine(t, Config{Shards: 2, CacheSize: 0}, 2000)
+	queries := []string{"m2 AND m3", "m3 m2", "m5 OR m7", "rare", "NOT m2", "m5 OR m7"}
+	const distinct = 3 // "NOT m2" fails to parse; the rest collapse to 3 forms
+	first := e.QueryBatch(queries)
+	hits, misses := e.met.planHits.Value(), e.met.planMisses.Value()
+	if misses != distinct {
+		t.Fatalf("first batch built %d plans, want %d", misses, distinct)
+	}
+	second := e.QueryBatch(queries)
+	if got := e.met.planHits.Value() - hits; got != distinct {
+		t.Fatalf("second batch hit the plan cache %d times, want %d", got, distinct)
+	}
+	if got := e.met.planMisses.Value(); got != misses {
+		t.Fatalf("second batch built %d plans, want 0", got-misses)
+	}
+	for i := range queries {
+		if (first[i].Err == nil) != (second[i].Err == nil) {
+			t.Fatalf("query %d: errors differ between runs: %v vs %v", i, first[i].Err, second[i].Err)
+		}
+		if first[i].Err == nil && !sets.Equal(first[i].Result.Docs, second[i].Result.Docs) {
+			t.Fatalf("query %d: results differ between runs", i)
+		}
+	}
+}
+
 // TestExplainEngine checks the engine surface: the rendering names the
 // executed kernel, reflects the df-ordered operands, and cache hits still
 // explain (rebuilt against current statistics).

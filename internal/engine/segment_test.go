@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -291,6 +292,27 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	}
 	if err := New(Config{Shards: 2}).LoadSnapshot(t.TempDir()); err == nil {
 		t.Fatal("LoadSnapshot accepted a directory with no manifest")
+	}
+}
+
+// TestSnapshotRejectsSwappedShardFiles pins the partition check: every
+// shard file must hold only documents that hash to the shard loading it. A
+// snapshot whose two shard files were swapped on disk would otherwise load,
+// after which deletes of its documents miss and counts disagree with docs.
+func TestSnapshotRejectsSwappedShardFiles(t *testing.T) {
+	e := buildTestEngine(t, Config{Shards: 2}, 500)
+	dir := t.TempDir()
+	if err := e.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	a, b, tmp := filepath.Join(dir, shardFile(0)), filepath.Join(dir, shardFile(1)), filepath.Join(dir, "swap")
+	for _, mv := range [][2]string{{a, tmp}, {b, a}, {tmp, b}} {
+		if err := os.Rename(mv[0], mv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := New(Config{Shards: 2}).LoadSnapshot(dir); err == nil {
+		t.Fatal("LoadSnapshot accepted a snapshot whose shard files were swapped")
 	}
 }
 

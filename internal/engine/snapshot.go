@@ -199,7 +199,7 @@ func (e *Engine) LoadSnapshot(dir string) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			shards[i], errs[i] = e.loadShard(filepath.Join(dir, shardFile(i)), perShard)
+			shards[i], errs[i] = e.loadShard(filepath.Join(dir, shardFile(i)), i, perShard)
 		}(i)
 	}
 	wg.Wait()
@@ -223,11 +223,21 @@ func (e *Engine) LoadSnapshot(dir string) error {
 	return nil
 }
 
-func (e *Engine) loadShard(path string, workers int) (*shard, error) {
+// loadShard reads and decodes the file of shard i (see decodeShard).
+func (e *Engine) loadShard(path string, i, workers int) (*shard, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return e.decodeShard(data, i, workers)
+}
+
+// decodeShard decodes one shard file's bytes into shard i. Every docID the
+// file carries — base postings and tombstones, frozen and active segment
+// documents — must hash to shard i: a file restored into the wrong shard
+// (say, two shard files swapped on disk) would otherwise load cleanly and
+// then mis-route every delete and overwrite of its documents.
+func (e *Engine) decodeShard(data []byte, i, workers int) (*shard, error) {
 	if len(data) < 11 { // header + CRC
 		return nil, fmt.Errorf("truncated file (%d bytes)", len(data))
 	}
@@ -249,8 +259,14 @@ func (e *Engine) loadShard(path string, workers int) (*shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("base: %w", err)
 	}
+	if err := e.checkPartition(baseTombs, i); err != nil {
+		return nil, fmt.Errorf("base tombstones: %w", err)
+	}
 	ix := invindex.NewWithStorage(e.cfg.Storage, e.cfg.IndexOptions...)
 	for term, ps := range baseTerms {
+		if err := e.checkPartition(ps, i); err != nil {
+			return nil, fmt.Errorf("base term %q: %w", term, err)
+		}
 		if err := ix.AddPosting(term, ps); err != nil {
 			return nil, fmt.Errorf("base term %q: %w", term, err)
 		}
@@ -273,10 +289,13 @@ func (e *Engine) loadShard(path string, workers int) (*shard, error) {
 	if frozenCount > 1<<16 {
 		return nil, fmt.Errorf("implausible frozen segment count %d", frozenCount)
 	}
-	for i := uint64(0); i < frozenCount; i++ {
+	for k := uint64(0); k < frozenCount; k++ {
 		fz, err := segment.ReadFrozen(r)
 		if err != nil {
-			return nil, fmt.Errorf("frozen %d: %w", i, err)
+			return nil, fmt.Errorf("frozen %d: %w", k, err)
+		}
+		if err := e.checkPartition(fz.DocIDs(), i); err != nil {
+			return nil, fmt.Errorf("frozen %d: %w", k, err)
 		}
 		s.frozen = append(s.frozen, fz)
 	}
@@ -284,9 +303,25 @@ func (e *Engine) loadShard(path string, workers int) (*shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("active: %w", err)
 	}
+	for _, term := range active.Terms() {
+		if err := e.checkPartition(active.Postings(term), i); err != nil {
+			return nil, fmt.Errorf("active term %q: %w", term, err)
+		}
+	}
 	s.active = active
 	if _, err := r.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("trailing bytes after active segment")
 	}
 	return s, nil
+}
+
+// checkPartition rejects the first docID of ids that does not hash to
+// shard i.
+func (e *Engine) checkPartition(ids []uint32, i int) error {
+	for _, id := range ids {
+		if home := shardOf(id, e.cfg.Shards); home != i {
+			return fmt.Errorf("doc %d belongs to shard %d, not %d", id, home, i)
+		}
+	}
+	return nil
 }
