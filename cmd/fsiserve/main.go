@@ -43,6 +43,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"slices"
@@ -407,17 +408,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // requestContext derives the request's execution context: ?deadline_ms=
-// overrides the server default (0 = explicitly unbounded). The returned
-// context is always rooted at r.Context(), so a client disconnect cancels
-// execution even without a deadline.
-func (s *server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
+// (from the request's parsed query vals) overrides the server default
+// (0 = explicitly unbounded). The returned context is always rooted at
+// r.Context(), so a client disconnect cancels execution even without a
+// deadline.
+func (s *server) requestContext(r *http.Request, vals url.Values) (context.Context, context.CancelFunc, error) {
 	d := s.defaultDeadline
-	if ds := r.URL.Query().Get("deadline_ms"); ds != "" {
+	if ds := vals.Get("deadline_ms"); ds != "" {
 		v, err := strconv.Atoi(ds)
-		if err != nil || v < 0 {
+		var ok bool
+		if err == nil {
+			d, ok = deadlineFromMS(v)
+		}
+		if !ok {
 			return nil, nil, fmt.Errorf("bad deadline_ms %q (want 0 for none or a positive millisecond budget)", ds)
 		}
-		d = time.Duration(v) * time.Millisecond
 	}
 	if d <= 0 {
 		return r.Context(), func() {}, nil
@@ -426,11 +431,22 @@ func (s *server) requestContext(r *http.Request) (context.Context, context.Cance
 	return ctx, cancel, nil
 }
 
+// deadlineFromMS converts a deadline_ms value to a duration. It rejects
+// negative values and those whose conversion would overflow time.Duration
+// (which would wrap around to a tiny or negative deadline).
+func deadlineFromMS(v int) (time.Duration, bool) {
+	if v < 0 || int64(v) > math.MaxInt64/int64(time.Millisecond) {
+		return 0, false
+	}
+	return time.Duration(v) * time.Millisecond, true
+}
+
 // clientKey identifies the requester for per-client quotas: the explicit
-// ?client= tag when present (load balancers forward the originating
-// principal this way), otherwise the peer address without its port.
-func clientKey(r *http.Request) string {
-	if c := r.URL.Query().Get("client"); c != "" {
+// ?client= tag in the request's parsed query vals when present (load
+// balancers forward the originating principal this way), otherwise the
+// peer address without its port.
+func clientKey(r *http.Request, vals url.Values) string {
+	if c := vals.Get("client"); c != "" {
 		return c
 	}
 	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
@@ -492,9 +508,10 @@ func (s *server) writeQueryError(w http.ResponseWriter, q string, start time.Tim
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	vals := r.URL.Query() // parsed once; every parameter below reads it
+	q := vals.Get("q")
 	limit := 100
-	if ls := r.URL.Query().Get("limit"); ls != "" {
+	if ls := vals.Get("limit"); ls != "" {
 		v, err := strconv.Atoi(ls)
 		if err != nil || v < -1 {
 			// -1 is the documented "no limit"; 0 means count-only; anything
@@ -504,43 +521,37 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = v
 	}
-	ctx, cancel, err := s.requestContext(r)
+	ctx, cancel, err := s.requestContext(r, vals)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
 		return
 	}
 	defer cancel()
-	client := clientKey(r)
+	client := clientKey(r, vals)
 	start := time.Now()
 	var (
 		res       *engine.Result
 		planStr   string
 		coalesced bool
 	)
-	switch explain := r.URL.Query().Get("explain"); explain {
+	switch explain := vals.Get("explain"); explain {
 	case "", "0":
 		// Plain queries coalesce: concurrent duplicates of one canonical
-		// form at one index generation share a single execution. The leader
-		// acquires admission inside the coalesced function — followers ride
-		// its slot, so a hot-key burst costs one inflight slot and one
-		// quota token (the leader's), not one per duplicate. Parse errors
-		// are caught by canonicalization, before admission: malformed
-		// queries never consume gate capacity.
+		// form at one index generation and one limit share a single
+		// execution. The leader acquires admission inside the coalesced
+		// function — followers ride its slot, so a hot-key burst costs one
+		// inflight slot and one quota token (the leader's), not one per
+		// duplicate. Parse errors are caught by canonicalization, before
+		// admission: malformed queries never consume gate capacity.
 		var canon string
 		canon, err = s.eng.Canonicalize(q)
 		if err != nil {
 			break
 		}
-		// limit=0 takes the engine's count-only fast path (no merged-result
-		// materialization). Count executions coalesce among themselves but
-		// never with materializing duplicates — a count result carries no
-		// docs to hand a materializing follower — so the key is prefixed.
-		key := admission.Key{Canon: canon, Gen: s.eng.Generation()}
-		run := s.eng.QueryContext
-		if limit == 0 {
-			key.Canon = "#count:" + canon
-			run = s.eng.QueryCountContext
-		}
+		// The engine merges only the page the response carries (limit=0 is
+		// count-only), so the limit is part of the key: a leader's page is
+		// the wrong length for a follower that asked for another limit.
+		key := admission.Key{Canon: canon, Gen: s.eng.Generation(), Limit: limit}
 		res, coalesced, err = s.coal.Do(ctx, key,
 			func() (*engine.Result, error) {
 				tk, aerr := s.gate.Acquire(ctx, client)
@@ -548,7 +559,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 					return nil, aerr
 				}
 				defer s.gate.Release(tk)
-				return run(ctx, q)
+				return s.eng.QueryLimitContext(ctx, q, limit)
 			})
 	case "1", "analyze":
 		// Explain output is per-request diagnostics (analyze re-executes
@@ -582,30 +593,31 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Rows:       res.Count,
 		Cached:     res.Cached,
 	})
-	docs := res.Docs
-	truncated := false
-	if limit >= 0 && len(docs) > limit {
-		docs = docs[:limit]
-		truncated = true
-	}
-	if docs == nil {
-		docs = []uint32{} // render "docs": [] rather than null
-	}
-	// Count-only responses report matching docs they did not materialize.
-	if limit == 0 && res.Count > 0 {
-		truncated = true
-	}
+	docs := pageOf(res.Docs, limit)
 	writeJSON(w, http.StatusOK, queryResponse{
 		Query:      q,
 		Normalized: res.Normalized,
 		Count:      res.Count,
 		Docs:       docs,
-		Truncated:  truncated,
+		Truncated:  len(docs) < res.Count,
 		Cached:     res.Cached,
 		Coalesced:  coalesced,
 		ElapsedUS:  time.Since(start).Microseconds(),
 		Plan:       planStr,
 	})
+}
+
+// pageOf cuts a result's docs to the response limit (-1 keeps them all)
+// and renders a nil page as [] rather than null. Paged engine results are
+// already at most limit long; explain results carry every doc.
+func pageOf(docs []uint32, limit int) []uint32 {
+	if limit >= 0 && len(docs) > limit {
+		docs = docs[:limit]
+	}
+	if docs == nil {
+		docs = []uint32{}
+	}
+	return docs
 }
 
 // batchRequest is the POST /query/batch body. Limit applies to every query
@@ -663,11 +675,11 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	d := s.defaultDeadline
 	if req.DeadlineMS != nil {
-		if *req.DeadlineMS < 0 {
+		var ok bool
+		if d, ok = deadlineFromMS(*req.DeadlineMS); !ok {
 			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("bad deadline_ms %d (want 0 for none or a positive millisecond budget)", *req.DeadlineMS)})
 			return
 		}
-		d = time.Duration(*req.DeadlineMS) * time.Millisecond
 	}
 	ctx := r.Context()
 	if d > 0 {
@@ -679,19 +691,14 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	// One admission slot covers the whole batch: the engine already
 	// serializes its shard work through the bounded worker pool, so a batch
 	// is one unit of inflight load, not len(Queries) units.
-	tk, err := s.gate.Acquire(ctx, clientKey(r))
+	tk, err := s.gate.Acquire(ctx, clientKey(r, r.URL.Query()))
 	if err != nil {
 		s.writeQueryError(w, fmt.Sprintf("<batch of %d>", len(req.Queries)), start, err)
 		return
 	}
-	// limit=0 sends the whole batch down the engine's count-only path: no
-	// merged result is materialized for any cache miss in the batch.
-	var batch []engine.BatchResult
-	if limit == 0 {
-		batch = s.eng.QueryBatchCountContext(ctx, req.Queries)
-	} else {
-		batch = s.eng.QueryBatchContext(ctx, req.Queries)
-	}
+	// The engine merges only the page each item carries; limit=0 sends the
+	// whole batch down the count-only path, materializing no merged result.
+	batch := s.eng.QueryBatchLimitContext(ctx, req.Queries, limit)
 	s.gate.Release(tk)
 	resp := batchResponse{Results: make([]batchItem, len(batch))}
 	for i, br := range batch {
@@ -703,18 +710,11 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		case br.Err != nil:
 			item.Error = br.Err.Error()
 		default:
-			docs := br.Result.Docs
-			if limit >= 0 && len(docs) > limit {
-				docs = docs[:limit]
-				item.Truncated = true
-			}
 			item.Normalized = br.Result.Normalized
 			item.Count = br.Result.Count
-			item.Docs = docs
+			item.Docs = br.Result.Docs
+			item.Truncated = len(item.Docs) < item.Count
 			item.Cached = br.Result.Cached
-			if limit == 0 && item.Count > 0 {
-				item.Truncated = true
-			}
 		}
 		resp.Results[i] = item
 	}

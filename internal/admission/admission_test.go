@@ -250,7 +250,7 @@ func TestCoalescerSharesResult(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, shared, err := c.Do(context.Background(), Key{"a AND b", 1}, func() (int, error) {
+		v, shared, err := c.Do(context.Background(), Key{Canon: "a AND b", Gen: 1}, func() (int, error) {
 			close(started)
 			<-release
 			execs.Add(1)
@@ -266,7 +266,7 @@ func TestCoalescerSharesResult(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := c.Do(context.Background(), Key{"a AND b", 1}, func() (int, error) {
+			v, shared, err := c.Do(context.Background(), Key{Canon: "a AND b", Gen: 1}, func() (int, error) {
 				execs.Add(1)
 				return 42, nil
 			})
@@ -306,7 +306,7 @@ func TestCoalescerSharesError(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, errs[0] = c.Do(context.Background(), Key{"q", 7}, func() (int, error) {
+		_, _, errs[0] = c.Do(context.Background(), Key{Canon: "q", Gen: 7}, func() (int, error) {
 			close(started)
 			<-release
 			return 0, boom
@@ -317,7 +317,7 @@ func TestCoalescerSharesError(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = c.Do(context.Background(), Key{"q", 7}, func() (int, error) { return 0, boom })
+			_, _, errs[i] = c.Do(context.Background(), Key{Canon: "q", Gen: 7}, func() (int, error) { return 0, boom })
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -334,7 +334,7 @@ func TestCoalescerFollowerCancel(t *testing.T) {
 	c := NewCoalescer[int](nil)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go c.Do(context.Background(), Key{"q", 1}, func() (int, error) {
+	go c.Do(context.Background(), Key{Canon: "q", Gen: 1}, func() (int, error) {
 		close(started)
 		<-release
 		return 1, nil
@@ -342,7 +342,7 @@ func TestCoalescerFollowerCancel(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, shared, err := c.Do(ctx, Key{"q", 1}, func() (int, error) { return 1, nil })
+	_, shared, err := c.Do(ctx, Key{Canon: "q", Gen: 1}, func() (int, error) { return 1, nil })
 	if !shared || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower: shared=%v err=%v, want shared cancel", shared, err)
 	}
@@ -351,12 +351,12 @@ func TestCoalescerFollowerCancel(t *testing.T) {
 
 func TestCoalescerPanic(t *testing.T) {
 	c := NewCoalescer[int](nil)
-	_, _, err := c.Do(context.Background(), Key{"q", 1}, func() (int, error) { panic("kernel bug") })
+	_, _, err := c.Do(context.Background(), Key{Canon: "q", Gen: 1}, func() (int, error) { panic("kernel bug") })
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want panic conversion", err)
 	}
 	// The entry must be gone: a fresh Do runs fn again.
-	v, shared, err := c.Do(context.Background(), Key{"q", 1}, func() (int, error) { return 5, nil })
+	v, shared, err := c.Do(context.Background(), Key{Canon: "q", Gen: 1}, func() (int, error) { return 5, nil })
 	if v != 5 || shared || err != nil {
 		t.Fatalf("post-panic Do = (%d, %v, %v), want fresh execution", v, shared, err)
 	}
@@ -366,16 +366,48 @@ func TestCoalescerGenerationsDistinct(t *testing.T) {
 	c := NewCoalescer[int](nil)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go c.Do(context.Background(), Key{"q", 1}, func() (int, error) {
+	go c.Do(context.Background(), Key{Canon: "q", Gen: 1}, func() (int, error) {
 		close(started)
 		<-release
 		return 1, nil
 	})
 	<-started
 	// Same canonical text, newer generation: must NOT coalesce.
-	v, shared, err := c.Do(context.Background(), Key{"q", 2}, func() (int, error) { return 2, nil })
+	v, shared, err := c.Do(context.Background(), Key{Canon: "q", Gen: 2}, func() (int, error) { return 2, nil })
 	if v != 2 || shared || err != nil {
 		t.Fatalf("cross-generation Do = (%d, %v, %v), want independent execution", v, shared, err)
 	}
 	close(release)
+}
+
+// TestCoalescerLimitsDistinct pins the page dimension of the key: a query
+// paged at one limit never attaches to an in-flight execution of the same
+// canonical form and generation paged at another, since the leader's result
+// holds a page of the wrong length for it.
+func TestCoalescerLimitsDistinct(t *testing.T) {
+	c := NewCoalescer[int](nil)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do(context.Background(), Key{Canon: "q", Gen: 1, Limit: 10}, func() (int, error) {
+			close(started)
+			<-release
+			return 10, nil
+		})
+	}()
+	<-started
+	// A follower that wrongly attached would wait on the held leader; the
+	// timeout turns that into a shared context error instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	for _, limit := range []int{-1, 0, 5, 11} {
+		v, shared, err := c.Do(ctx, Key{Canon: "q", Gen: 1, Limit: limit}, func() (int, error) { return limit, nil })
+		if v != limit || shared || err != nil {
+			t.Fatalf("limit %d Do = (%d, %v, %v), want an independent execution", limit, v, shared, err)
+		}
+	}
+	close(release)
+	<-done
 }

@@ -12,16 +12,21 @@ import (
 // Singleflight coalescing of identical in-flight queries: under a hot-key
 // burst (a trending query hitting every frontend at once) the engine should
 // run the query once and every concurrent duplicate should share that
-// execution's result. The key is (canonical query form, index generation) —
-// canonicalization makes syntactic variants of one query collapse, and the
-// generation component keeps a coalesced result from leaking across a
-// mutation boundary: a query admitted after a delta publish never attaches
-// to an execution planned against the previous index state.
+// execution's result. The key is (canonical query form, index generation,
+// page limit) — canonicalization makes syntactic variants of one query
+// collapse, the generation component keeps a coalesced result from leaking
+// across a mutation boundary (a query admitted after a delta publish never
+// attaches to an execution planned against the previous index state), and
+// the limit component keeps a caller from receiving a page of another
+// length than it asked for.
 
 // Key identifies one coalescable execution.
 type Key struct {
 	Canon string // canonical (normalized) query text
 	Gen   uint64 // index generation the execution is planned against
+	// Limit is the page the execution returns: the first Limit docs, all of
+	// them for -1, only the count for 0.
+	Limit int
 }
 
 // Coalescer deduplicates concurrent executions by Key. The zero value is

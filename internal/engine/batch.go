@@ -37,11 +37,11 @@ func (e *Engine) QueryBatch(queries []string) []BatchResult {
 }
 
 // QueryBatchCount is QueryBatch in count-only mode: every result carries
-// only Result.Count (Docs stays nil), and the batch skips result
-// materialization the same way QueryCount does — per-shard result lengths
-// are summed without building merged slices. Deduplication, shared
-// planning and the per-shard execution-context sharing are identical to
-// QueryBatch.
+// only Result.Count (Docs stays nil). It is QueryBatchLimitContext with
+// limit 0, so the batch skips result materialization the same way
+// QueryCount does — per-shard result lengths are summed without building
+// merged slices. Deduplication, shared planning and the per-shard
+// execution-context sharing are identical to QueryBatch.
 func (e *Engine) QueryBatchCount(queries []string) []BatchResult {
 	return e.QueryBatchCountContext(context.Background(), queries)
 }
@@ -49,7 +49,7 @@ func (e *Engine) QueryBatchCount(queries []string) []BatchResult {
 // QueryBatchCountContext is QueryBatchCount under a request context (see
 // QueryBatchContext).
 func (e *Engine) QueryBatchCountContext(ctx context.Context, queries []string) []BatchResult {
-	return e.queryBatch(ctx, queries, true)
+	return e.QueryBatchLimitContext(ctx, queries, 0)
 }
 
 // QueryBatchContext is QueryBatch under a request context: a cancelled or
@@ -59,10 +59,14 @@ func (e *Engine) QueryBatchCountContext(ctx context.Context, queries []string) [
 // uses), so a batch never outlives its deadline by more than one poll
 // interval per worker.
 func (e *Engine) QueryBatchContext(ctx context.Context, queries []string) []BatchResult {
-	return e.queryBatch(ctx, queries, false)
+	return e.QueryBatchLimitContext(ctx, queries, -1)
 }
 
-func (e *Engine) queryBatch(ctx context.Context, queries []string, countOnly bool) []BatchResult {
+// QueryBatchLimitContext is QueryBatchContext returning only the first limit
+// docs of every result (all of them for a negative limit, none for 0), with
+// each Result.Count still the full result size — the batch form of
+// QueryLimitContext, with the same page-sized merge and prefix caching.
+func (e *Engine) QueryBatchLimitContext(ctx context.Context, queries []string, limit int) []BatchResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -96,12 +100,8 @@ func (e *Engine) queryBatch(ctx context.Context, queries []string, countOnly boo
 	gen := e.gen.Load()
 	var pending []*batchPending
 	for _, u := range uniq {
-		if docs, ok := e.cache.get(u.key, gen); ok {
-			if countOnly {
-				u.res = &Result{Count: len(docs), Normalized: u.key, Cached: true}
-			} else {
-				u.res = &Result{Docs: docs, Count: len(docs), Normalized: u.key, Cached: true}
-			}
+		if docs, count, ok := e.cache.get(u.key, gen, limit); ok {
+			u.res = &Result{Docs: page(docs, limit), Count: count, Normalized: u.key, Cached: true}
 			continue
 		}
 		pending = append(pending, u)
@@ -114,7 +114,7 @@ func (e *Engine) queryBatch(ctx context.Context, queries []string, countOnly boo
 				u.err = ErrNotBuilt
 			}
 		} else {
-			e.runBatch(ctx, shards, pending, gen, countOnly)
+			e.runBatch(ctx, shards, pending, gen, limit)
 		}
 	}
 
@@ -138,8 +138,9 @@ type batchPending struct {
 
 // runBatch looks up every pending canonical form's plan (through the plan
 // cache, like Query) and evaluates them all in one shard fan-out, so each
-// shard runs the whole batch on one execution context.
-func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batchPending, gen uint64, countOnly bool) {
+// shard runs the whole batch on one execution context. Each result is
+// merged into its page of limit docs and cached as a prefix entry.
+func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batchPending, gen uint64, limit int) {
 	plans := make([]*plan.Plan, len(pending))
 	for j, u := range pending {
 		plans[j] = e.lookupPlan(shards, u.ast, u.key, nil)
@@ -151,11 +152,8 @@ func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batch
 			u.err = err
 			continue
 		}
-		merged, count := mergeShards(qc.row(j), countOnly)
-		if !countOnly {
-			// Nothing is materialized under countOnly, so nothing is cached.
-			e.cache.put(u.key, merged, gen)
-		}
+		merged, count := mergeShards(qc.row(j), limit)
+		e.cache.put(u.key, merged, count, gen)
 		u.res = &Result{Docs: merged, Count: count, Normalized: u.key}
 	}
 	putQueryCtx(qc)

@@ -5,7 +5,13 @@ import (
 	"sync"
 )
 
-// CacheStats is a point-in-time snapshot of cache counters.
+// CacheStats is a point-in-time snapshot of cache counters. An entry holds
+// the ascending prefix of a result that some query paged — as many docs as
+// its limit asked for — plus the full count, so a lookup hits when the
+// prefix is complete or at least as long as the page it wants. A lookup for
+// a longer page than the entry holds is a plain miss (counted in Misses,
+// not Stale), and its re-execution replaces the entry with the longer
+// prefix.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -32,6 +38,13 @@ type CacheStats struct {
 // query string. Values are treated as immutable: get returns the cached
 // slice without copying, so callers must not modify it.
 //
+// An entry is a result prefix: the first docs of the result, ascending, as
+// many as the query that computed it paged (all of them for an unlimited
+// query, none for a count), plus the full count. It serves every page no
+// longer than the prefix, and every page at all once the prefix is
+// complete. At one generation only a longer prefix replaces an entry, so a
+// short page never pushes out a long one.
+//
 // Every entry is stamped with the engine's index generation at the time the
 // result was computed (snapshotted BEFORE the shard state was read). A
 // lookup presents the current generation; an entry from an older generation
@@ -57,9 +70,10 @@ type cache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	docs []uint32
-	gen  uint64 // index generation the result was computed at
+	key   string
+	docs  []uint32 // ascending prefix of the result
+	count int      // full result size; len(docs) == count when complete
+	gen   uint64   // index generation the result was computed at
 }
 
 // newCache returns an LRU holding at most capacity entries, or nil when
@@ -72,12 +86,14 @@ func newCache(capacity int) *cache {
 	return &cache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element, capacity)}
 }
 
-// get returns the cached result for key if it was computed at the current
-// index generation gen. An entry from an older generation is deleted and
-// counted as stale.
-func (c *cache) get(key string, gen uint64) ([]uint32, bool) {
+// get returns the cached prefix and full count for key if the entry was
+// computed at the current index generation gen and covers a page of limit
+// docs: the prefix is complete, or limit is non-negative and the prefix is
+// at least limit long. An entry from an older generation is deleted and
+// counted as stale; one too short for the page is a plain miss.
+func (c *cache) get(key string, gen uint64, limit int) ([]uint32, int, bool) {
 	if c == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -87,7 +103,7 @@ func (c *cache) get(key string, gen uint64) ([]uint32, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, 0, false
 	}
 	e := el.Value.(*cacheEntry)
 	if e.gen != gen {
@@ -101,19 +117,24 @@ func (c *cache) get(key string, gen uint64) ([]uint32, bool) {
 		}
 		c.stale++
 		c.misses++
-		return nil, false
+		return nil, 0, false
+	}
+	if len(e.docs) < e.count && (limit < 0 || len(e.docs) < limit) {
+		c.misses++
+		return nil, 0, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return e.docs, true
+	return e.docs, e.count, true
 }
 
-// put stores a result computed at index generation gen. A put from behind
-// the newest generation any lookup has presented is dropped — the entry
-// could never be served, and inserting it at capacity would evict a
-// servable one. Remaining staleness (a mutation landing after the last
-// lookup) is resolved lazily at get time.
-func (c *cache) put(key string, docs []uint32, gen uint64) {
+// put stores a result prefix docs of a count-doc result computed at index
+// generation gen. A put from behind the newest generation any lookup has
+// presented is dropped — the entry could never be served, and inserting it
+// at capacity would evict a servable one. Remaining staleness (a mutation
+// landing after the last lookup) is resolved lazily at get time. At the
+// entry's own generation a put replaces it only with a longer prefix.
+func (c *cache) put(key string, docs []uint32, count int, gen uint64) {
 	if c == nil {
 		return
 	}
@@ -132,12 +153,13 @@ func (c *cache) put(key string, docs []uint32, gen uint64) {
 			c.droppedPuts++
 			return
 		}
-		e.docs = docs
-		e.gen = gen
+		if gen > e.gen || len(docs) > len(e.docs) {
+			e.docs, e.count, e.gen = docs, count, gen
+		}
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, docs: docs, gen: gen})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, docs: docs, count: count, gen: gen})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -4,23 +4,25 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"fastintersect/internal/sets"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newCache(2)
-	c.put("a", []uint32{1}, 1)
-	c.put("b", []uint32{2}, 1)
-	if _, ok := c.get("a", 1); !ok { // touch a: b becomes LRU
+	c.put("a", []uint32{1}, 1, 1)
+	c.put("b", []uint32{2}, 1, 1)
+	if _, _, ok := c.get("a", 1, -1); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", []uint32{3}, 1) // evicts b
-	if _, ok := c.get("b", 1); ok {
+	c.put("c", []uint32{3}, 1, 1) // evicts b
+	if _, _, ok := c.get("b", 1, -1); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.get("a", 1); !ok {
+	if _, _, ok := c.get("a", 1, -1); !ok {
 		t.Fatal("a should have survived")
 	}
-	if _, ok := c.get("c", 1); !ok {
+	if _, _, ok := c.get("c", 1, -1); !ok {
 		t.Fatal("c should be present")
 	}
 	st := c.stats()
@@ -31,15 +33,15 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheCounters(t *testing.T) {
 	c := newCache(8)
-	if _, ok := c.get("x", 1); ok {
+	if _, _, ok := c.get("x", 1, -1); ok {
 		t.Fatal("unexpected hit")
 	}
-	c.put("x", []uint32{9}, 1)
-	if v, ok := c.get("x", 1); !ok || len(v) != 1 || v[0] != 9 {
+	c.put("x", []uint32{9}, 1, 1)
+	if v, _, ok := c.get("x", 1, -1); !ok || len(v) != 1 || v[0] != 9 {
 		t.Fatalf("get = %v, %v", v, ok)
 	}
-	c.put("x", []uint32{9, 10}, 1) // overwrite updates in place
-	if v, _ := c.get("x", 1); len(v) != 2 {
+	c.put("x", []uint32{9, 10}, 2, 1) // overwrite updates in place
+	if v, _, _ := c.get("x", 1, -1); len(v) != 2 {
 		t.Fatalf("overwrite lost: %v", v)
 	}
 	st := c.stats()
@@ -50,8 +52,8 @@ func TestCacheCounters(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	c := newCache(0) // nil
-	c.put("a", []uint32{1}, 1)
-	if _, ok := c.get("a", 1); ok {
+	c.put("a", []uint32{1}, 1, 1)
+	if _, _, ok := c.get("a", 1, -1); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
 	if st := c.stats(); st != (CacheStats{}) {
@@ -65,13 +67,13 @@ func TestCacheDisabled(t *testing.T) {
 // entry.
 func TestCacheGenerationInvalidation(t *testing.T) {
 	c := newCache(8)
-	c.put("q", []uint32{1}, 1)
-	if _, ok := c.get("q", 1); !ok {
+	c.put("q", []uint32{1}, 1, 1)
+	if _, _, ok := c.get("q", 1, -1); !ok {
 		t.Fatal("fresh entry missed")
 	}
 	// The index moved to generation 2 (a mutation landed): the entry must
 	// be dropped, not served.
-	if _, ok := c.get("q", 2); ok {
+	if _, _, ok := c.get("q", 2, -1); ok {
 		t.Fatal("stale entry served after a generation bump")
 	}
 	if st := c.stats(); st.Stale != 1 || st.Entries != 0 {
@@ -79,15 +81,15 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	}
 	// A slow query that snapshotted generation 1 must not overwrite the
 	// entry a generation-2 query installed.
-	c.put("q", []uint32{2}, 2)
-	c.put("q", []uint32{1}, 1)
-	if v, ok := c.get("q", 2); !ok || v[0] != 2 {
+	c.put("q", []uint32{2}, 1, 2)
+	c.put("q", []uint32{1}, 1, 1)
+	if v, _, ok := c.get("q", 2, -1); !ok || v[0] != 2 {
 		t.Fatalf("stale put shadowed a fresh entry: %v %v", v, ok)
 	}
 	// Entries stamped with a stale generation are unservable even if they
 	// land: they miss on the next current-generation lookup.
-	c.put("r", []uint32{1}, 1)
-	if _, ok := c.get("r", 2); ok {
+	c.put("r", []uint32{1}, 1, 1)
+	if _, _, ok := c.get("r", 2, -1); ok {
 		t.Fatal("entry computed at a stale generation was served")
 	}
 }
@@ -138,10 +140,10 @@ func TestCacheGenerationCounters(t *testing.T) {
 	lookups := 0
 	get := func(key string, gen uint64) bool {
 		lookups++
-		_, ok := c.get(key, gen)
+		_, _, ok := c.get(key, gen, -1)
 		return ok
 	}
-	c.put("q", []uint32{1}, 1)
+	c.put("q", []uint32{1}, 1, 1)
 	if !get("q", 1) {
 		t.Fatal("fresh entry missed")
 	}
@@ -156,7 +158,7 @@ func TestCacheGenerationCounters(t *testing.T) {
 	// Entry newer than the lookup (the lookup snapshotted its generation
 	// before a mutation landed): a stale miss too, but the entry stays
 	// servable for current-generation lookups.
-	c.put("q", []uint32{2}, 2)
+	c.put("q", []uint32{2}, 1, 2)
 	if get("q", 1) {
 		t.Fatal("newer entry served to an older-generation lookup")
 	}
@@ -174,11 +176,11 @@ func TestCacheGenerationCounters(t *testing.T) {
 	// Puts from behind the newest seen generation are discarded — and now
 	// counted, so sustained-mutation workloads can see why entries never
 	// materialize.
-	c.put("r", []uint32{1}, 1) // maxGen is 2: dropped
+	c.put("r", []uint32{1}, 1, 1) // maxGen is 2: dropped
 	if st = c.stats(); st.DroppedPuts != 1 {
 		t.Fatalf("behind-maxGen put not counted: %+v", st)
 	}
-	c.put("q", []uint32{3}, 1) // behind the existing entry's generation too
+	c.put("q", []uint32{3}, 1, 1) // behind the existing entry's generation too
 	if st = c.stats(); st.DroppedPuts != 2 {
 		t.Fatalf("behind-entry put not counted: %+v", st)
 	}
@@ -231,13 +233,87 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", i%100)
-				if v, ok := c.get(key, 1); ok && v[0] != uint32(i%100) {
+				if v, _, ok := c.get(key, 1, -1); ok && v[0] != uint32(i%100) {
 					t.Errorf("corrupt value for %s: %v", key, v)
 					return
 				}
-				c.put(key, []uint32{uint32(i % 100)}, 1)
+				c.put(key, []uint32{uint32(i % 100)}, 1, 1)
 			}
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestCachePrefixHit pins when a prefix entry serves a lookup: a page no
+// longer than the prefix (count-only included), or any page once the prefix
+// is the complete result. The full count comes back with every hit.
+func TestCachePrefixHit(t *testing.T) {
+	c := newCache(8)
+	c.put("q", []uint32{1, 2, 3}, 10, 1) // a 3-doc page of a 10-doc result
+	for _, limit := range []int{0, 2, 3} {
+		docs, count, ok := c.get("q", 1, limit)
+		if !ok || count != 10 || !sets.Equal(docs, []uint32{1, 2, 3}) {
+			t.Fatalf("limit %d: get = %v, %d, %v; want the 3-doc prefix and count 10", limit, docs, count, ok)
+		}
+	}
+	c.put("r", []uint32{4, 5}, 2, 1) // complete
+	for _, limit := range []int{-1, 0, 2, 5} {
+		if docs, count, ok := c.get("r", 1, limit); !ok || count != 2 || len(docs) != 2 {
+			t.Fatalf("complete entry at limit %d: get = %v, %d, %v", limit, docs, count, ok)
+		}
+	}
+	c.put("z", nil, 0, 1) // an empty result is complete at any limit
+	if _, count, ok := c.get("z", 1, -1); !ok || count != 0 {
+		t.Fatalf("empty result: count %d, ok %v", count, ok)
+	}
+	if st := c.stats(); st.Hits != 8 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want 8 hits", st)
+	}
+}
+
+// TestCachePrefixMiss pins the short-prefix lookup: it misses, counts in
+// Misses and not Stale, and leaves the entry in place.
+func TestCachePrefixMiss(t *testing.T) {
+	c := newCache(8)
+	c.put("q", []uint32{1, 2, 3}, 10, 1)
+	c.put("n", nil, 4, 1) // count-only: an empty prefix of a 4-doc result
+	for _, lk := range []struct {
+		key   string
+		limit int
+	}{{"q", 4}, {"q", -1}, {"n", 1}, {"n", -1}} {
+		if docs, _, ok := c.get(lk.key, 1, lk.limit); ok {
+			t.Fatalf("%s at limit %d: short prefix served %v", lk.key, lk.limit, docs)
+		}
+	}
+	st := c.stats()
+	if st.Misses != 4 || st.Stale != 0 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want 4 plain misses", st)
+	}
+	if st.Entries != 2 {
+		t.Fatalf("short-prefix misses dropped entries: %+v", st)
+	}
+}
+
+// TestCachePrefixReplace pins the replacement rule: at the entry's
+// generation only a longer prefix replaces it, so a short page never
+// pushes out a long one; a newer generation replaces it whatever its length.
+func TestCachePrefixReplace(t *testing.T) {
+	c := newCache(8)
+	c.put("q", []uint32{1, 2}, 10, 1)
+	c.put("q", []uint32{1, 2, 3, 4, 5}, 10, 1) // longer: replaces
+	if docs, _, ok := c.get("q", 1, 5); !ok || len(docs) != 5 {
+		t.Fatalf("longer prefix did not replace: %v %v", docs, ok)
+	}
+	c.put("q", []uint32{1}, 10, 1) // shorter, same generation: ignored
+	c.put("q", nil, 10, 1)         // count-only, same generation: ignored
+	if docs, _, ok := c.get("q", 1, 5); !ok || len(docs) != 5 {
+		t.Fatalf("shorter prefix replaced a longer one: %v %v", docs, ok)
+	}
+	c.put("q", []uint32{7}, 3, 2) // newer generation: replaces
+	if docs, count, ok := c.get("q", 2, 1); !ok || count != 3 || !sets.Equal(docs, []uint32{7}) {
+		t.Fatalf("newer-generation put did not replace: %v %d %v", docs, count, ok)
+	}
+	if st := c.stats(); st.Entries != 1 || st.DroppedPuts != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
 }

@@ -23,9 +23,11 @@
 // to every shard through a bounded worker pool; each shard executes the
 // plan (see exec.go), re-pricing kernels on its actual operand sizes
 // through the planner's calibrated cost model, and the per-shard sorted
-// results are merged. Cache entries are stamped with the engine's index
-// generation — every mutation and rebuild bumps it — so a cached result
-// can never resurrect a deleted document. Explain returns the executed
+// results are merged into only the page the caller reads (QueryLimitContext;
+// count-only is limit 0). Cache entries hold that page as a result prefix
+// plus the full count, stamped with the engine's index generation — every
+// mutation and rebuild bumps it — so a cached result can never resurrect a
+// deleted document. Explain returns the executed
 // plan; QueryBatch deduplicates many queries, plans them through the same
 // plan cache, and runs them all in one pass of the same shard fan-out, so
 // each shard's decode memo serves the whole batch.
@@ -360,12 +362,14 @@ func (e *Engine) snapshot() []*shard {
 
 // Result is one query's outcome.
 type Result struct {
-	// Docs are the matching document IDs, ascending. The slice is shared
-	// with the cache; callers must not modify it. Nil for count-only
-	// queries (QueryCount), which never materialize the merged result.
+	// Docs is the page the query asked for: the first limit matching
+	// document IDs, ascending — every match for the unlimited entry points
+	// (Query, QueryBatch, Explain), none (nil) for count-only ones (limit 0,
+	// QueryCount). The slice may be shared with the cache; callers must not
+	// modify it.
 	Docs []uint32
-	// Count is the number of matching documents — len(Docs) for
-	// materializing queries, and the only output of count-only ones.
+	// Count is the number of matching documents — the full result size,
+	// whatever the page length; len(Docs) < Count means the page was cut.
 	Count int
 	// Normalized is the canonical form of the query (the cache key).
 	Normalized string
@@ -393,7 +397,18 @@ func (e *Engine) Query(q string) (*Result, error) {
 // operator, keeping the uncontended fast path allocation-identical to
 // Query.
 func (e *Engine) QueryContext(ctx context.Context, q string) (*Result, error) {
-	res, _, err := e.execute(ctx, q, modeQuery)
+	return e.QueryLimitContext(ctx, q, -1)
+}
+
+// QueryLimitContext is QueryContext returning only the page the caller
+// reads: Result.Docs holds the first limit matching docs (all of them for
+// a negative limit, none for 0) while Result.Count stays the full result
+// size. The kernels still evaluate every shard in full — the count needs
+// them — but the shard merge reads at most limit docs of each shard, and
+// the result cache keeps the page as a prefix entry that serves any later
+// lookup for a page no longer than it (see cache.go).
+func (e *Engine) QueryLimitContext(ctx context.Context, q string, limit int) (*Result, error) {
+	res, _, err := e.execute(ctx, q, modeQuery, limit)
 	return res, err
 }
 
@@ -402,12 +417,12 @@ func (e *Engine) QueryContext(ctx context.Context, q string) (*Result, error) {
 // and cost estimates). The plan is rebuilt even on a cache hit, so the
 // rendering always reflects current index statistics.
 func (e *Engine) Explain(q string) (*Result, string, error) {
-	return e.execute(context.Background(), q, modeExplain)
+	return e.execute(context.Background(), q, modeExplain, -1)
 }
 
 // ExplainContext is Explain bounded by a context (see QueryContext).
 func (e *Engine) ExplainContext(ctx context.Context, q string) (*Result, string, error) {
-	return e.execute(ctx, q, modeExplain)
+	return e.execute(ctx, q, modeExplain, -1)
 }
 
 // ExplainAnalyze executes the query with a full per-operator trace —
@@ -419,31 +434,28 @@ func (e *Engine) ExplainContext(ctx context.Context, q string) (*Result, string,
 // result is still written to the cache, so an analyzed query warms it like
 // any other.
 func (e *Engine) ExplainAnalyze(q string) (*Result, string, error) {
-	return e.execute(context.Background(), q, modeAnalyze)
+	return e.execute(context.Background(), q, modeAnalyze, -1)
 }
 
 // ExplainAnalyzeContext is ExplainAnalyze bounded by a context (see
 // QueryContext).
 func (e *Engine) ExplainAnalyzeContext(ctx context.Context, q string) (*Result, string, error) {
-	return e.execute(ctx, q, modeAnalyze)
+	return e.execute(ctx, q, modeAnalyze, -1)
 }
 
 // QueryCount executes q and returns only the number of matching documents:
-// Result.Count is set and Result.Docs stays nil. The count path skips
-// result materialization entirely — per-shard result lengths are summed
-// (shards partition the docID space, so the per-shard results are
-// disjoint) without building or copying a merged slice. Planning, caching
-// of plans, and kernel execution are identical to Query; only the final
-// merge/copy is elided, so a count costs strictly less than the query it
-// counts. A cached materialized result is still served (as its length).
+// Result.Count is set and Result.Docs stays nil, also on a cache hit. It is
+// QueryLimitContext with limit 0: per-shard result lengths are summed
+// (shards partition the docID space, so the per-shard results are disjoint)
+// without building or copying a merged slice, so a count costs strictly
+// less than the query it counts.
 func (e *Engine) QueryCount(q string) (*Result, error) {
 	return e.QueryCountContext(context.Background(), q)
 }
 
 // QueryCountContext is QueryCount bounded by a context (see QueryContext).
 func (e *Engine) QueryCountContext(ctx context.Context, q string) (*Result, error) {
-	res, _, err := e.execute(ctx, q, modeCount)
-	return res, err
+	return e.QueryLimitContext(ctx, q, 0)
 }
 
 // Canonicalize parses q and returns its canonical (normalized) form — the
@@ -466,14 +478,13 @@ const (
 	modeQuery   execMode = iota // result only
 	modeExplain                 // result + estimated plan (cache may serve the result)
 	modeAnalyze                 // result + executed plan with actuals (cache bypassed)
-	modeCount                   // count only: per-shard counts merged, no result materialized
 )
 
 // execute wraps executeQuery with the per-query observability: the query
 // counter, the latency histogram, the sampling decision and the trace
 // lifecycle. Timing is skipped entirely when neither the histograms nor a
-// trace want it.
-func (e *Engine) execute(ctx context.Context, q string, mode execMode) (*Result, string, error) {
+// trace want it. limit is the page the caller reads (see QueryLimitContext).
+func (e *Engine) execute(ctx context.Context, q string, mode execMode, limit int) (*Result, string, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -489,7 +500,7 @@ func (e *Engine) execute(ctx context.Context, q string, mode execMode) (*Result,
 	if timed {
 		start = time.Now()
 	}
-	res, expl, err := e.executeQuery(ctx, q, mode, tr)
+	res, expl, err := e.executeQuery(ctx, q, mode, limit, tr)
 	if err != nil {
 		m.queryErrors.Inc()
 	}
@@ -525,7 +536,7 @@ func stamp(tr *obs.Trace, s obs.Stage, t0 *time.Time) {
 	*t0 = now
 }
 
-func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *obs.Trace) (*Result, string, error) {
+func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, limit int, tr *obs.Trace) (*Result, string, error) {
 	if ctx.Done() != nil {
 		// One up-front check so a request whose deadline expired while it
 		// queued upstream never starts planning at all.
@@ -548,23 +559,23 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 	// Install lands while we evaluate, the entry we put below is stamped with
 	// a superseded generation and can never be served.
 	gen := e.gen.Load()
-	var docs []uint32
-	hit := false
+	var (
+		docs  []uint32
+		count int
+		hit   bool
+	)
 	if mode != modeAnalyze {
 		// Analyze mode bypasses the probe: its whole point is to measure a
 		// real execution, and serving the cached docs would render every
 		// operator "(not executed)".
-		docs, hit = e.cache.get(key, gen)
+		docs, count, hit = e.cache.get(key, gen, limit)
 		stamp(tr, obs.StageCache, &t0)
 	}
 	if hit && tr != nil {
 		tr.Cached = true
 	}
-	if hit && mode == modeCount {
-		return &Result{Count: len(docs), Normalized: key, Cached: true}, "", nil
-	}
 	if hit && mode == modeQuery {
-		return &Result{Docs: docs, Count: len(docs), Normalized: key, Cached: true}, "", nil
+		return &Result{Docs: page(docs, limit), Count: count, Normalized: key, Cached: true}, "", nil
 	}
 	shards := e.snapshot()
 	if shards == nil {
@@ -582,13 +593,13 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 	}
 	if hit {
 		putPlanCtx(pc)
-		return &Result{Docs: docs, Count: len(docs), Normalized: key, Cached: true}, expl, nil
+		return &Result{Docs: page(docs, limit), Count: count, Normalized: key, Cached: true}, expl, nil
 	}
 	var agg *traceRec
 	if tr != nil {
 		agg = getTraceRec(len(pp.Ops))
 	}
-	merged, count, err := e.executePlan(ctx, shards, pp, tr, agg, mode == modeCount)
+	merged, count, err := e.executePlan(ctx, shards, pp, tr, agg, limit)
 	if err != nil {
 		putTraceRec(agg)
 		putPlanCtx(pc)
@@ -605,14 +616,21 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 	}
 	putTraceRec(agg)
 	putPlanCtx(pc)
-	if mode == modeCount {
-		// Nothing was materialized, so there is nothing to cache; a later
-		// materializing query for the same canonical form will populate the
-		// LRU and counts will hit it from then on.
-		return &Result{Count: count, Normalized: key}, expl, nil
-	}
-	e.cache.put(key, merged, gen)
+	e.cache.put(key, merged, count, gen)
 	return &Result{Docs: merged, Count: count, Normalized: key}, expl, nil
+}
+
+// page returns the first limit docs of an ascending result prefix: all of
+// them for a negative limit, nil for 0. The prefix is at least limit long
+// or complete (cache.get guarantees it), so the page is never short.
+func page(docs []uint32, limit int) []uint32 {
+	if limit == 0 {
+		return nil
+	}
+	if limit > 0 && limit < len(docs) {
+		return docs[:limit]
+	}
+	return docs
 }
 
 // algorithmNote flags a configured intersection algorithm on explain
@@ -720,12 +738,12 @@ func (e *Engine) lookupPlan(shards []*shard, ast plan.Node, key string, pc *plan
 }
 
 // executePlan runs one physical plan over the shard set (see fanOut) and
-// merges the per-shard results (see mergeShards), returning the merged docs
-// and their count; under countOnly the docs return is nil. When the query is
+// merges the per-shard results into the page of limit docs (see
+// mergeShards), returning the page and the full count. When the query is
 // traced (tr and agg non-nil, always together), the per-operator actuals of
 // every shard are merged into agg, and the per-shard spans and the
 // exec/merge stage timings land on tr.
-func (e *Engine) executePlan(ctx context.Context, shards []*shard, pp *plan.Plan, tr *obs.Trace, agg *traceRec, countOnly bool) ([]uint32, int, error) {
+func (e *Engine) executePlan(ctx context.Context, shards []*shard, pp *plan.Plan, tr *obs.Trace, agg *traceRec, limit int) ([]uint32, int, error) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -736,7 +754,7 @@ func (e *Engine) executePlan(ctx context.Context, shards []*shard, pp *plan.Plan
 		return nil, 0, err
 	}
 	stamp(tr, obs.StageExec, &t0)
-	merged, count := mergeShards(qc.row(0), countOnly)
+	merged, count := mergeShards(qc.row(0), limit)
 	putQueryCtx(qc)
 	stamp(tr, obs.StageMerge, &t0)
 	return merged, count, nil
@@ -820,20 +838,53 @@ func (e *Engine) runShard(qc *queryCtx, i int) {
 	}
 }
 
-// mergeShards combines one plan's per-shard sorted results. Shards partition
-// the document space, so the results are disjoint: a count is the plain sum
-// of their lengths (countOnly returns nil docs, building nothing), and the
-// merged docs are a pure interleave written by the k-way union into a fresh
-// exactly-sized slice, which never aliases a posting list or a pooled buffer.
-func mergeShards(row [][]uint32, countOnly bool) ([]uint32, int) {
+// mergeShards combines one plan's per-shard sorted results into the page
+// the caller reads — the first limit docs, all of them for a negative
+// limit, nil for 0 — and the full count. Shards partition the document
+// space, so the results are disjoint: the count is the plain sum of their
+// lengths, and the page is a pure interleave written into a fresh
+// exactly-sized slice, which never aliases a posting list or a pooled
+// buffer. A full result takes the heap-based k-way union; a page shorter
+// than the result takes mergeFirst, which reads at most limit docs of each
+// shard, so its cost follows the page and not the result.
+func mergeShards(row [][]uint32, limit int) ([]uint32, int) {
 	total := 0
 	for _, r := range row {
 		total += len(r)
 	}
-	if countOnly {
+	switch {
+	case limit == 0:
 		return nil, total
+	case limit < 0 || limit >= total:
+		return sets.UnionKInto(make([]uint32, 0, total), row...), total
 	}
-	return sets.UnionKInto(make([]uint32, 0, total), row...), total
+	return mergeFirst(row, limit), total
+}
+
+// mergeFirst returns the n smallest docs of the disjoint sorted lists in
+// row, which must hold at least n docs between them, in a fresh n-long
+// slice. Each output takes the least head by a linear scan over the
+// lists: with a page of n docs over k shards that is n·k comparisons and
+// no heap upkeep, which beats sifting for the few shards an engine has.
+func mergeFirst(row [][]uint32, n int) []uint32 {
+	var posArr [16]int
+	pos := posArr[:]
+	if len(row) > len(pos) {
+		pos = make([]int, len(row))
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		best := -1
+		var least uint32
+		for s, r := range row {
+			if p := pos[s]; p < len(r) && (best < 0 || r[p] < least) {
+				best, least = s, r[p]
+			}
+		}
+		out[i] = least
+		pos[best]++
+	}
+	return out
 }
 
 // EncodingStat aggregates the posting lists stored under one encoding
