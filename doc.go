@@ -55,8 +55,8 @@
 // query, batch execution (Engine.QueryBatch) that plans once per canonical
 // form through the same plan cache and runs the whole batch in one pass of
 // the engine's shard fan-out, sharing decode memos, and an HTTP JSON API
-// with a built-in load generator — the search-engine setting that motivates
-// the paper, end to end. The corpus stays live: each shard pairs
+// that servebench drives end to end — the search-engine setting that
+// motivates the paper. The corpus stays live: each shard pairs
 // its frozen base segment with a small delta segment and a tombstone set,
 // so documents added or deleted at serving time (Engine.AddDocument /
 // DeleteDocument, or POST /index/doc over HTTP) are queryable immediately,

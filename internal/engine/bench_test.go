@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -8,10 +10,10 @@ import (
 	"fastintersect/internal/workload"
 )
 
-// The mixed AND/OR workload shared by the serving benchmarks and the
-// BENCH_serve.json trajectory: a scaled-down Real corpus queried with the
-// default operator mix plus a heavier OR fraction, so both the conjunctive
-// push-down and the k-way union paths are exercised.
+// The mixed AND/OR workload shared by the in-process serving benchmarks
+// (the end-to-end ones are servebench's): a scaled-down Real corpus queried
+// with the default operator mix plus a heavier OR fraction, so both the
+// conjunctive push-down and the k-way union paths are exercised.
 var benchState struct {
 	once    sync.Once
 	real    *workload.Real
@@ -74,6 +76,50 @@ func BenchmarkQueryMixed(b *testing.B) {
 				if _, err := e.Query(queries[i%len(queries)]); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkQueryBatch measures the same workload submitted through
+// QueryBatch in fixed-size chunks, cache disabled. One op is one batch;
+// ns/query, B/query and allocs/query divide the batch out, so the rows
+// compare directly with BenchmarkQueryMixed's single-query numbers.
+func BenchmarkQueryBatch(b *testing.B) {
+	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
+		b.Run(st.String(), func(b *testing.B) {
+			e := buildBenchEngine(b, st, 0)
+			_, queries := benchWorkload(b)
+			for _, n := range []int{16, 64} {
+				b.Run(fmt.Sprintf("batch%d", n), func(b *testing.B) {
+					var chunks [][]string
+					for at := 0; at+n <= len(queries); at += n {
+						chunks = append(chunks, queries[at:at+n])
+					}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for _, br := range e.QueryBatch(chunks[i%len(chunks)]) {
+							if br.Err != nil {
+								b.Fatal(br.Err)
+							}
+						}
+					}
+					b.StopTimer()
+					runtime.ReadMemStats(&after)
+					q := float64(b.N * n)
+					allocs := float64(after.Mallocs-before.Mallocs) / q
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/q, "ns/query")
+					b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/q, "B/query")
+					b.ReportMetric(allocs, "allocs/query")
+					// Execution runs in pooled contexts, so the parser's few
+					// dozen allocations dominate; over a thousand per query
+					// means a pool stopped being reused.
+					if allocs > 1000 {
+						b.Fatalf("%.0f allocs/query", allocs)
+					}
+				})
 			}
 		})
 	}

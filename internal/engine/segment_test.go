@@ -316,6 +316,51 @@ func TestSnapshotRejectsSwappedShardFiles(t *testing.T) {
 	}
 }
 
+// TestSnapshotConcurrentSave pins concurrent saves into one directory: every
+// save must succeed (none may rename or remove another's temp files), and
+// the directory they leave must load and answer like the saved engine.
+func TestSnapshotConcurrentSave(t *testing.T) {
+	e := buildTestEngine(t, Config{Shards: 4}, 400)
+	dir := t.TempDir()
+	const savers, saves = 4, 50
+	var failed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < savers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < saves; i++ {
+				if err := e.SaveSnapshot(dir); err != nil {
+					if failed.Add(1) == 1 {
+						t.Errorf("SaveSnapshot: %v", err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d of %d concurrent saves failed", n, savers*saves)
+	}
+	e2 := New(Config{Shards: 4})
+	if err := e2.LoadSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"all", "m2 AND m3", "m5 OR rare", "all AND NOT m7"} {
+		want, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e2.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sets.Equal(got.Docs, want.Docs) {
+			t.Fatalf("%q: restored engine returns %d docs, saved engine %d", q, len(got.Docs), len(want.Docs))
+		}
+	}
+}
+
 // TestChurnMultiSegmentConcurrent is the race acceptance test for the
 // tiered lifecycle: queries race against mutations, background freezes,
 // size-tiered merges (MaxSegments=2 keeps merges constant) and snapshot

@@ -60,9 +60,11 @@ func SnapshotExists(dir string) bool {
 // base tombstones, frozen segments and active segment — into dir (created if
 // missing), one file per shard plus a manifest. Each shard is written under
 // its read lock, so the file is an atomic cut of that shard; queries and
-// mutations on other shards proceed concurrently. Files are written to a
-// temp name and renamed, and the manifest is written last, so a crash
-// mid-save never leaves a loadable-looking partial snapshot. Returns
+// mutations on other shards proceed concurrently. Each file is written and
+// fsynced under a temp name unique to this save, then renamed, so concurrent
+// saves into one directory never take each other's temp files. The
+// directory is fsynced before the manifest is written and again after, so a
+// crash mid-save never leaves a loadable-looking partial snapshot. Returns
 // ErrNotBuilt before the first Install.
 func (e *Engine) SaveSnapshot(dir string) error {
 	shards := e.snapshot()
@@ -74,9 +76,13 @@ func (e *Engine) SaveSnapshot(dir string) error {
 	}
 	gen := e.gen.Load()
 	for i, s := range shards {
-		if err := saveShard(filepath.Join(dir, shardFile(i)), s); err != nil {
+		if err := writeFileAtomic(dir, shardFile(i), func(w io.Writer) error { return saveShard(w, s) }); err != nil {
 			return fmt.Errorf("engine: snapshot shard %d: %w", i, err)
 		}
+	}
+	// The shard renames must be durable before the manifest that names them.
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("engine: snapshot: %w", err)
 	}
 	man := snapManifest{
 		Version:    snapVersion,
@@ -88,11 +94,14 @@ func (e *Engine) SaveSnapshot(dir string) error {
 	if err != nil {
 		return fmt.Errorf("engine: snapshot: %w", err)
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("engine: snapshot: %w", err)
+	err = writeFileAtomic(dir, manifestName, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
+	if err == nil {
+		err = syncDir(dir)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
+	if err != nil {
 		return fmt.Errorf("engine: snapshot: %w", err)
 	}
 	return nil
@@ -100,37 +109,64 @@ func (e *Engine) SaveSnapshot(dir string) error {
 
 func shardFile(i int) string { return fmt.Sprintf("shard-%04d.seg", i) }
 
-func saveShard(path string, s *shard) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// writeFileAtomic writes dir/name through write: into a temp file of its own
+// in dir, fsynced and closed, then renamed over name. The temp file is
+// removed on any failure.
+func writeFileAtomic(dir, name string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(dir, name+".*.tmp")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp) //nolint:errcheck // no-op after the rename below
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = write(f)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(f.Name()) //nolint:errcheck // best effort; err is the failure to report
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// saveShard writes one shard's file body: its tier under the shard's read
+// lock, then the CRC-32 of everything written.
+func saveShard(f io.Writer, s *shard) error {
 	crc := crc32.NewIEEE()
 	w := bufio.NewWriter(io.MultiWriter(f, crc))
-
 	s.mu.RLock()
-	err = writeShardLocked(w, s)
+	err := writeShardLocked(w, s)
 	s.mu.RUnlock()
 	if err != nil {
-		f.Close()
 		return err
 	}
 	if err := w.Flush(); err != nil {
-		f.Close()
 		return err
 	}
 	var sum [4]byte
 	binary.BigEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := f.Write(sum[:]); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(sum[:])
+	return err
 }
 
 // writeShardLocked streams one shard's tier. Caller holds s.mu (read).

@@ -318,3 +318,19 @@ func runOverloadBench(cfg Config) []*Table {
 	}
 	return []*Table{t}
 }
+
+// nearestRank returns the p-th percentile (nearest-rank) of sorted
+// latencies.
+func nearestRank(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(p/100*float64(len(sorted))+0.5) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= len(sorted) {
+		rank = len(sorted) - 1
+	}
+	return sorted[rank]
+}

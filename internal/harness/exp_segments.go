@@ -242,3 +242,9 @@ func runSegments(cfg Config) []*Table {
 	}
 	return []*Table{summary, parity}
 }
+
+// pctUS returns the p-th percentile (nearest rank) of sorted durations in
+// microseconds.
+func pctUS(sorted []time.Duration, p float64) int64 {
+	return nearestRank(sorted, p).Microseconds()
+}

@@ -1,7 +1,9 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (Section 4 and Appendices A.5.2/C). Each experiment is a named
 // entry in Registry producing one or more text tables; cmd/fsibench is the
-// CLI front end and EXPERIMENTS.md records paper-vs-measured shapes.
+// CLI front end. Beside the paper's experiments sit four of the engine tier
+// (plan-quality, feedback-drift, overload, segments); the serving path as a
+// whole is measured by servebench, not here.
 //
 // Experiments run at two scales: "small" (the default; minutes for the full
 // registry) and "full" (paper-scale set sizes; tens of minutes). Absolute

@@ -19,7 +19,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig4", "fig5", "fig6", "ratio", "sizes", "fig7", "fig8",
 		"real-compressed", "fig9", "fig10", "fig11", "fig12", "intro-stats",
 		"ablation-width", "ablation-m", "ablation-parallel", "storage-sweep",
-		"serve-bench", "obs-bench", "overload",
+		"overload",
 	}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
@@ -28,100 +28,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(IDs()) < len(want) {
 		t.Fatalf("registry has %d entries, want ≥ %d", len(IDs()), len(want))
-	}
-}
-
-// TestServeBench pins the serving benchmark's guarantees: both storage
-// modes are measured, every scenario carries non-degenerate throughput and
-// allocation numbers, and the schema the CI artifact consumers rely on is
-// stable.
-func TestServeBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a corpus and runs timed benchmarks")
-	}
-	rep := ServeBench(tinyConfig())
-	if rep.Schema != "fsibench/serve/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if len(rep.Scenarios) != 6 {
-		t.Fatalf("got %d scenarios, want 6 (raw + compressed, each ×{1,16,64} batch)", len(rep.Scenarios))
-	}
-	storages := map[string]bool{}
-	batches := map[int]bool{}
-	for _, s := range rep.Scenarios {
-		storages[s.Storage] = true
-		batches[s.Batch] = true
-		if s.NsPerOp <= 0 || s.QPS <= 0 {
-			t.Fatalf("%s: degenerate timing (ns/op=%d, qps=%f)", s.Name, s.NsPerOp, s.QPS)
-		}
-		if s.AllocsPerOp <= 0 || s.AllocsPerOp > 1000 {
-			t.Fatalf("%s: implausible allocs/op %d", s.Name, s.AllocsPerOp)
-		}
-		if s.Docs == 0 || s.Terms == 0 || s.Queries == 0 {
-			t.Fatalf("%s: empty corpus accounting", s.Name)
-		}
-		if s.Batch > 1 && s.SpeedupVsSingle <= 0 {
-			t.Fatalf("%s: batch scenario missing the batching delta", s.Name)
-		}
-	}
-	if !storages["raw"] || !storages["compressed"] {
-		t.Fatalf("missing storage mode: %v", storages)
-	}
-	if !batches[1] || !batches[16] || !batches[64] {
-		t.Fatalf("missing batch sizes: %v", batches)
-	}
-}
-
-// TestObsBench is the acceptance check for the observability surface: the
-// latency percentiles reconstructed from a /metrics scrape must agree with
-// the percentiles the harness measures directly on the same replay, within
-// the log2 histogram's bucket resolution. The scraped number is the bucket
-// upper bound, so it can sit up to 2x above the measured value; a factor-4
-// band on each side absorbs rank granularity and scheduler noise without
-// ever letting a broken bucket mapping pass.
-func TestObsBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a corpus and replays thousands of queries")
-	}
-	rep := ObsBench(tinyConfig())
-	if rep.Schema != "fsibench/obs/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if len(rep.Phases) != 2 {
-		t.Fatalf("got %d phases, want 2 (replay + churn)", len(rep.Phases))
-	}
-	for _, p := range rep.Phases {
-		if p.Queries == 0 || p.QueriesTotal == 0 {
-			t.Fatalf("%s: no queries measured: %+v", p.Name, p)
-		}
-		checks := []struct {
-			pct              string
-			measured, scrape float64
-		}{
-			{"p50", p.MeasuredP50US, p.ScrapeP50US},
-			{"p90", p.MeasuredP90US, p.ScrapeP90US},
-			{"p99", p.MeasuredP99US, p.ScrapeP99US},
-		}
-		for _, c := range checks {
-			if c.measured <= 0 || c.scrape <= 0 {
-				t.Fatalf("%s %s: degenerate percentile (measured %.1f, scrape %.1f)",
-					p.Name, c.pct, c.measured, c.scrape)
-			}
-			if r := c.scrape / c.measured; r < 0.25 || r > 4 {
-				t.Errorf("%s %s: scraped %.1fµs vs measured %.1fµs (ratio %.2f, want within bucket resolution)",
-					p.Name, c.pct, c.scrape, c.measured, r)
-			}
-		}
-	}
-	if rep.Phases[1].Mutations == 0 {
-		t.Fatal("churn phase recorded no mutations")
-	}
-	if rep.Phases[1].MutationsTotal < uint64(rep.Phases[1].Mutations) {
-		t.Fatalf("scraped fsi_mutations_total %d < %d mutations performed",
-			rep.Phases[1].MutationsTotal, rep.Phases[1].Mutations)
-	}
-	if rep.Phases[1].QueriesTotal <= rep.Phases[0].QueriesTotal {
-		t.Fatal("fsi_queries_total did not advance between phases")
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -223,6 +224,114 @@ func parseBucketLine(line string, le *string, cum *uint64) (int, error) {
 	var err error
 	*cum, err = strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
 	return 0, err
+}
+
+// TestScrapedQuantilesMatchObserved checks the latency percentiles an
+// operator reads off /metrics: quantiles rebuilt from the `le` bucket deltas
+// of two WritePrometheus scrapes must agree with the nearest-rank quantiles
+// of the observations made between them. A rebuilt quantile is the upper
+// bound of the bucket holding the rank, so it is never below the observed
+// one and, with log₂ buckets, less than twice it.
+func TestScrapedQuantilesMatchObserved(t *testing.T) {
+	const family = "fsi_query_latency_seconds"
+	r := NewRegistry()
+	h := r.Histogram(family, "query latency")
+	decoy := r.Histogram(family+"_other", "a family whose name extends this one")
+	// Observations before the first scrape sit two octaves above the window's
+	// and must drop out of the deltas.
+	for i := 0; i < 500; i++ {
+		h.Observe(50 * time.Millisecond)
+		decoy.Observe(time.Microsecond)
+	}
+	before := scrape(t, r)
+	// The window: 10µs·2^(i/100), ten octaves at 100 observations each.
+	obs := make([]time.Duration, 1000)
+	for i := range obs {
+		obs[i] = time.Duration(10e3 * math.Exp2(float64(i)/100))
+		h.Observe(obs[i])
+		decoy.Observe(time.Second)
+	}
+	after := scrape(t, r)
+
+	bles, bcounts := promBuckets(before, family)
+	ales, acounts := promBuckets(after, family)
+	for _, p := range []float64{50, 90, 99} {
+		measured := nearestRank(obs, p)
+		scraped := bucketQuantile(ales, acounts, bles, bcounts, p/100)
+		if ratio := float64(scraped) / float64(measured); ratio < 1 || ratio >= 2 {
+			t.Errorf("p%v: scraped %v vs observed %v (ratio %.2f, want [1, 2))", p, scraped, measured, ratio)
+		}
+	}
+}
+
+func scrape(t *testing.T, r *Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// nearestRank returns the p-th percentile (nearest rank) of ascending
+// durations.
+func nearestRank(sorted []time.Duration, p float64) time.Duration {
+	rank := int(p/100*float64(len(sorted))+0.5) - 1
+	return sorted[max(0, min(rank, len(sorted)-1))]
+}
+
+// promBuckets parses one histogram family's finite cumulative buckets out
+// of exposition text: upper bounds in seconds and cumulative counts, in
+// ascending order.
+func promBuckets(text, family string) (les []float64, counts []uint64) {
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, family+`_bucket{le="`) || strings.Contains(line, `"+Inf"`) {
+			continue
+		}
+		var le string
+		var cum uint64
+		if _, err := parseBucketLine(line, &le, &cum); err != nil {
+			continue
+		}
+		v, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			continue
+		}
+		les = append(les, v)
+		counts = append(counts, cum)
+	}
+	return les, counts
+}
+
+// cumAt is a cumulative bucket series evaluated at bound x: the count of
+// the largest le <= x, or 0 below the first bucket (WritePrometheus writes
+// only the occupied range, so everything below it is empty).
+func cumAt(les []float64, counts []uint64, x float64) uint64 {
+	c := uint64(0)
+	for i, le := range les {
+		if le > x {
+			break
+		}
+		c = counts[i]
+	}
+	return c
+}
+
+// bucketQuantile estimates quantile q of the observations made between the
+// before (b) and after (a) scrapes: the upper bound of the bucket whose
+// count delta reaches the rank.
+func bucketQuantile(ales []float64, acounts []uint64, bles []float64, bcounts []uint64, q float64) time.Duration {
+	if len(ales) == 0 {
+		return 0
+	}
+	total := acounts[len(acounts)-1] - cumAt(bles, bcounts, ales[len(ales)-1])
+	rank := max(1, uint64(q*float64(total)))
+	for i, le := range ales {
+		if acounts[i]-cumAt(bles, bcounts, le) >= rank {
+			return time.Duration(le * 1e9)
+		}
+	}
+	return time.Duration(ales[len(ales)-1] * 1e9)
 }
 
 func TestSampler(t *testing.T) {
